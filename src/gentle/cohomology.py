@@ -165,10 +165,7 @@ def beta_cohomology(pres, walk):
     """Cohomology of beta(P_walk): the lowest occupied degree is erased,
     everything else is copied; a complex exact at its lowest degree is
     returned unchanged."""
-    cx = string_complex(pres, walk)
-    vector = cohomology_dims(pres, cx)
-    bottom = min(cx.degrees())
-    return vector.drop_degree(bottom)
+    return cohomology_dims(pres, string_complex(pres, walk)).drop_degree(min(walk.mu))
 
 
 def beta_extension_chains(pres, walk):

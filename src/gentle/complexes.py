@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PresentationError, path_basis, compose
+from .core import PresentationError, _vertex_basis, compose
 from .walks import GBA, GST, rotate_walk
 
 
@@ -208,10 +208,7 @@ def differential_matrix(pres, cx, degree):
     Rows are indexed by basis paths of the degree+1 summands, columns by
     basis paths of the degree summands, both in path_basis order.
     """
-    basis = {v: [] for v in pres.vertices}
-    for p in path_basis(pres):
-        basis[p.source].append(p)
-    pos = {v: {p.arrows: k for k, p in enumerate(ps)} for v, ps in basis.items()}
+    basis, pos = _vertex_basis(pres)
     col_offsets, ncols = _slot_offsets(basis, cx.summands.get(degree, ()))
     row_offsets, nrows = _slot_offsets(basis, cx.summands.get(degree + 1, ()))
     matrix = [[Fraction(0)] * ncols for _ in range(nrows)]
@@ -239,8 +236,8 @@ def _slot_offsets(basis, summands):
 
 
 def total_dimension(pres, cx, degree):
-    from .core import dim_projective
-    return sum(dim_projective(pres, s.vertex) for s in cx.summands.get(degree, ()))
+    basis, _ = _vertex_basis(pres)
+    return sum(len(basis[s.vertex]) for s in cx.summands.get(degree, ()))
 
 
 def _assert_d_squared_zero(pres, cx):

@@ -111,6 +111,7 @@ class Presentation:
     _arrow_by_name: dict = field(default_factory=dict, repr=False)
     _out: dict = field(default_factory=dict, repr=False)
     _in: dict = field(default_factory=dict, repr=False)
+    _basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._arrow_by_name = {a.name: a for a in self.arrows}
@@ -237,6 +238,8 @@ def parse_presentation(text):
         else:
             raise PresentationError(f"unknown directive {head!r}", lineno)
 
+    if not vertices:
+        raise PresentationError("the presentation declares no vertices")
     return Presentation(name, tuple(vertices), tuple(arrow_list), frozenset(relations))
 
 
@@ -367,6 +370,19 @@ def path_basis(pres):
         frontier = fresh
     out.sort(key=lambda p: (p.source, p.length, p.arrows))
     return out
+
+
+def _vertex_basis(pres):
+    """(basis, pos): the path basis grouped by source vertex in path_basis
+    order, and each path's position in its group keyed by its arrows.
+    Built once per presentation."""
+    if pres._basis is None:
+        basis = {v: [] for v in pres.vertices}
+        for p in path_basis(pres):
+            basis[p.source].append(p)
+        pos = {v: {p.arrows: k for k, p in enumerate(ps)} for v, ps in basis.items()}
+        pres._basis = (basis, pos)
+    return pres._basis
 
 
 def compose(pres, p, q):

@@ -9,8 +9,6 @@ before it is accepted; a surgery that misses l - 1 is never returned.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -73,6 +71,13 @@ def string_witness(pres, walk, shift=0):
 def beta_witness(pres, walk, shift=0):
     return Witness("beta", walk=walk, shift=shift,
                    cohomology=beta_cohomology(pres, walk))
+
+
+def _beta_of(string):
+    """The beta witness of a string witness's walk, read off its vector:
+    beta erases the lowest degree of the walk and keeps the rest."""
+    return replace(string, kind="beta",
+                   cohomology=string.cohomology.drop_degree(min(string.walk.mu)))
 
 
 def band_witness(pres, walk, lam=1, mult=1, shift=0):
@@ -144,19 +149,17 @@ def _positive_candidates(pres, walk, mask_degree=None):
     bottom of a resolution witness).
     """
     contribs, masses = _degree_masses(pres, walk)
-    if mask_degree is not None:
-        masses.pop(mask_degree, None)
-    top = max(masses.values(), default=0)
+    top = max((m for d, m in masses.items() if d != mask_degree), default=0)
     firsts = []
     others = []
     for deg, mass in masses.items():
-        if mass != top:
+        if mass != top or deg == mask_degree:
             continue
         nodes = sorted(j for j, (d, c) in contribs.items() if d == deg and c > 0)
         firsts.append(nodes[0])
         others.extend(nodes[1:])
     ordered = sorted(firsts, reverse=True) + sorted(others, reverse=True)
-    return ordered, contribs, top
+    return ordered, contribs, masses, top
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +493,7 @@ def _cut_plans(pres, walk):
     return plans
 
 
-def _stalk_plans(pres, walk, contribs, top):
+def _stalk_plans(pres, walk, contribs, masses, top):
     """Brutal truncation to a single projective summand.
 
     Needed where a forward turn shares one unit between both neighbours:
@@ -498,9 +501,6 @@ def _stalk_plans(pres, walk, contribs, top):
     degree can (its stalk is the complex cut down to that summand)."""
     preferred = []
     seen = set()
-    masses = {}
-    for j, (deg, c) in contribs.items():
-        masses[deg] = masses.get(deg, 0) + c
     for j, (deg, c) in sorted(contribs.items()):
         if c > 0 and masses[deg] == top:
             v = walk.node_vertex(j)
@@ -517,36 +517,26 @@ def _stalk_plans(pres, walk, contribs, top):
 
 
 def _candidate_plans(pres, walk, mask_degree=None):
-    ordered, contribs, top = _positive_candidates(pres, walk, mask_degree)
+    ordered, contribs, masses, top = _positive_candidates(pres, walk, mask_degree)
     plans = []
     for q in ordered:
         plans.extend(_local_plans(pres, walk, q, contribs))
     plans.extend(_cut_plans(pres, walk))
-    plans.extend(_stalk_plans(pres, walk, contribs, top))
+    plans.extend(_stalk_plans(pres, walk, contribs, masses, top))
     return plans
 
 
-def _witness_for_plan(pres, plan, shift=0):
+def _plan_witnesses(pres, plan):
     if plan.kind == "stalk":
-        return stalk_witness(pres, plan.letters[0], shift=shift)
+        return [stalk_witness(pres, plan.letters[0])]
     walk = classify_walk(pres, plan.letters)
     if walk.kind not in (GST, GBA):
-        return None
-    if plan.kind == "beta":
-        return beta_witness(pres, walk, shift=shift)
-    return string_witness(pres, walk, shift=shift)
-
-
-def _plan_witnesses(pres, plan):
-    out = _witness_for_plan(pres, plan)
-    if out is None:
         return []
-    candidates = [out]
-    if out.kind == "string":
-        vec = beta_cohomology(pres, out.walk)
-        if vec.dims != out.cohomology.dims:
-            candidates.append(Witness("beta", walk=out.walk, cohomology=vec))
-    return candidates
+    if plan.kind == "beta":
+        return [beta_witness(pres, walk)]
+    out = string_witness(pres, walk)
+    beta = _beta_of(out)
+    return [out] if beta.cohomology == out.cohomology else [out, beta]
 
 
 def _aligned(input_witness, out):
@@ -563,9 +553,19 @@ def _run_plans(pres, walk, target_hl, plans, direction, input_witness,
 
     When no single surgery lands, surgeries that leave the length unchanged
     (typically a glue that levels a second realizing degree) are expanded
-    one more round; the composed trace lists both stages."""
+    one more round; the composed trace lists both stages.  A proposed walk
+    is evaluated once: a repeat cannot land where its first proposal missed."""
+    evaluated = set()
+
+    def fresh(plan):
+        key = (plan.kind, plan.letters)
+        if key in evaluated:
+            return False
+        evaluated.add(key)
+        return True
+
     intermediates = []
-    for plan in plans:
+    for plan in filter(fresh, plans):
         for cand in _plan_witnesses(pres, plan):
             if cand.hl == target_hl:
                 if direction == "negative":
@@ -585,10 +585,8 @@ def _run_plans(pres, walk, target_hl, plans, direction, input_witness,
         expanded += 1
         if expanded > 25:
             break
-        mid_mask = None
-        if mid.kind == "beta":
-            mid_mask = min(string_complex(pres, mid.walk).degrees())
-        for inner in _candidate_plans(pres, mid.walk, mid_mask):
+        mid_mask = min(mid.walk.mu) if mid.kind == "beta" else None
+        for inner in filter(fresh, _candidate_plans(pres, mid.walk, mid_mask)):
             for cand in _plan_witnesses(pres, inner):
                 if cand.hl == target_hl:
                     if direction == "negative":
@@ -613,7 +611,11 @@ def reduce_string(pres, walk, negative=False):
     """A verified witness of length hl(P_walk) - 1 for a width >= 1 string."""
     if walk.kind not in (GST, GBA):
         raise PresentationError(f"reduce_string needs a generalized string, got {walk.kind}")
-    witness = string_witness(pres, walk)
+    return _reduce_string(pres, string_witness(pres, walk), negative)
+
+
+def _reduce_string(pres, witness, negative):
+    walk = witness.walk
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
@@ -631,13 +633,17 @@ def reduce_string(pres, walk, negative=False):
 def reduce_beta(pres, walk, negative=False):
     """Reduce a beta witness: lengths are read with the lowest occupied
     degree of the underlying string erased."""
-    witness = beta_witness(pres, walk)
+    return _reduce_beta(pres, string_witness(pres, walk), negative)
+
+
+def _reduce_beta(pres, plain, negative):
+    walk = plain.walk
+    witness = _beta_of(plain)
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
-    plain = string_witness(pres, walk)
     if plain.hl == l:
-        trace = reduce_string(pres, walk, negative=negative)
+        trace = _reduce_string(pres, plain, negative)
         return ReductionTrace(witness, "BETA_TRUNCATION", trace.target_node,
                               trace.direction,
                               ("reduce the underlying string",) + trace.surgery,
@@ -645,8 +651,7 @@ def reduce_beta(pres, walk, negative=False):
     directions = ["negative", "positive"] if negative else ["positive", "negative"]
     for direction in directions:
         base = inverse_walk(pres, walk) if direction == "negative" else walk
-        mask = min(string_complex(pres, base).degrees())
-        trace = _run_plans(pres, base, l - 1, _candidate_plans(pres, base, mask),
+        trace = _run_plans(pres, base, l - 1, _candidate_plans(pres, base, min(base.mu)),
                            direction, witness)
         if trace is not None:
             return ReductionTrace(witness, "BETA_TRUNCATION", trace.target_node,
@@ -666,18 +671,18 @@ def reduce_band(pres, walk, lam=1, mult=1, negative=False):
     rotated = mu_minimal_rotation(pres, walk)
     unwound = classify_walk(pres, rotated.letters * mult)
     steps = (f"unwind to the {mult}-fold repeated string",)
-    beta = beta_witness(pres, unwound)
+    plain = string_witness(pres, unwound)
+    beta = _beta_of(plain)
     if beta.hl == l - 1:
         return ReductionTrace(witness, "BAND_UNWIND", 0, "positive",
                               steps + ("beta of the unwound string already lands",),
                               beta)
     if beta.hl == l:
-        inner = reduce_beta(pres, unwound, negative=negative)
+        inner = _reduce_beta(pres, plain, negative)
         return ReductionTrace(witness, "BAND_UNWIND", inner.target_node,
                               inner.direction, steps + inner.surgery, inner.output)
-    plain = string_witness(pres, unwound)
     if plain.hl == l:
-        inner = reduce_string(pres, unwound, negative=negative)
+        inner = _reduce_string(pres, plain, negative)
         return ReductionTrace(witness, "BAND_UNWIND", inner.target_node,
                               inner.direction, steps + inner.surgery, inner.output)
     if plain.hl == l - 1:
@@ -701,7 +706,7 @@ def reduce_stalk(pres, vertex):
     walk = classify_walk(pres, [Letter(tilde)])
     out = string_witness(pres, walk)
     if out.hl != l - 1:
-        out = beta_witness(pres, walk)
+        out = _beta_of(out)
     if out.hl != l - 1:
         raise ReductionError(f"stalk reduction at {vertex} missed {l - 1}")
     return ReductionTrace(witness, "GENERAL_Q", 0, "positive",
@@ -722,25 +727,6 @@ def reduce_witness(pres, witness, negative=False):
 
 # ---------------------------------------------------------------------------
 # spectra
-
-
-def _thread_count():
-    raw = os.environ.get("GENTLE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PresentationError(f"GENTLE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise PresentationError("GENTLE_THREADS must be >= 0")
-    return n
-
-
-def _ordered_map(fn, items):
-    n = _thread_count()
-    if n >= 2:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -772,10 +758,8 @@ def witness_family(pres, max_arrows, include_bands=True):
     for walk in enum.walks:
         w = string_witness(pres, walk)
         witnesses.append(w)
-        cx = string_complex(pres, walk)
-        bottom = min(cx.degrees())
-        if dict(w.cohomology.dims).get(bottom, 0):
-            witnesses.append(beta_witness(pres, walk))
+        if w.cohomology.as_dict().get(min(walk.mu), 0):
+            witnesses.append(_beta_of(w))
     if include_bands:
         for walk in enumerate_gba(pres, max_arrows).walks:
             witnesses.append(band_witness(pres, walk, 1, 1))
@@ -797,23 +781,18 @@ def hl_spectrum(pres, max_arrows, include_bands=True, reduce_check=False):
     reductions = []
     failures = []
     if reduce_check:
-        def check(l):
+        for l in sorted(achieved, reverse=True):
             if l <= 1:
-                return None
+                continue
             try:
                 trace = reduce_witness(pres, achieved[l])
             except ReductionError as exc:
-                return str(exc)
-            if trace.output.hl != l - 1:
-                return f"reduction of {achieved[l].literal()} landed on {trace.output.hl}"
-            return trace
-        for result in _ordered_map(check, sorted(achieved, reverse=True)):
-            if result is None:
+                failures.append(str(exc))
                 continue
-            if isinstance(result, str):
-                failures.append(result)
+            if trace.output.hl != l - 1:
+                failures.append(f"reduction of {achieved[l].literal()} landed on {trace.output.hl}")
             else:
-                reductions.append(result)
+                reductions.append(trace)
     return SpectrumReport(achieved, gaps, complete, max_arrows,
                           len(witnesses), tuple(reductions), tuple(failures))
 

@@ -184,13 +184,16 @@ def canonical_band(pres, walk):
     return min(orbit, key=GenWalk.sort_key)
 
 
+def _period(letters):
+    """The length of the shortest prefix whose repetition spells letters."""
+    n = len(letters)
+    return next(k for k in range(1, n + 1)
+                if n % k == 0 and letters == letters[:k] * (n // k))
+
+
 def is_primitive(walk):
     """True unless the letter sequence is a proper power."""
-    n = walk.width
-    for k in range(1, n):
-        if n % k == 0 and walk.letters == walk.letters[:k] * (n // k):
-            return False
-    return True
+    return _period(walk.letters) == walk.width
 
 
 def truncate_first(pres, walk, j):
@@ -323,6 +326,8 @@ def enumerate_gst(pres, max_arrows):
     The completeness flag is exact: it is set when the letter-transition
     graph is acyclic and the longest possible walk fits the bound.
     """
+    if max_arrows < 0:
+        raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
     letters = letter_universe(pres)
     edges = transition_edges(pres, letters)
     found = {}
@@ -348,6 +353,8 @@ def enumerate_gst(pres, max_arrows):
 
 def enumerate_gba(pres, max_arrows):
     """Primitive canonical generalized bands with arrow total <= max_arrows."""
+    if max_arrows < 0:
+        raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
     letters = letter_universe(pres)
     edges = transition_edges(pres, letters)
     found = {}
@@ -564,13 +571,8 @@ def _zero_weight_band(pres, edges, weight, neg_cycle, pos_cycle):
     walk = classify_walk(pres, tuple(word))
     if walk.kind != GBA:
         raise PresentationError("band witness construction failed")
-    if not is_primitive(walk):
-        n = walk.width
-        for k in range(1, n):
-            if n % k == 0 and walk.letters == walk.letters[:k] * (n // k):
-                walk = classify_walk(pres, walk.letters[:k])
-                break
-    return canonical_band(pres, walk)
+    root = classify_walk(pres, walk.letters[:_period(walk.letters)])
+    return canonical_band(pres, root)
 
 
 def _bfs_path(edges, start, goal):

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 from gentle.cli import main
+
+from corpus import random_gentle
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -142,8 +147,40 @@ def test_byte_identical_reruns():
         assert first == second
 
 
-def test_input_errors_exit_one():
+def test_input_errors_exit_one(tmp_path, capsys):
     code, _ = run(["cohomology", A0_FILE, "--walk", "a1 , a2"])
     assert code == 1
     code, _ = run(["validate", str(ROOT / "no_such_file.alg")])
     assert code == 1
+    empty = tmp_path / "empty.alg"
+    empty.write_text("# declares nothing\n")
+    for argv in (["validate", str(empty)],
+                 ["spectrum", A0_FILE, "--max-arrows", "-1"],
+                 ["enumerate", A0_FILE, "--max-arrows", "-1"]):
+        capsys.readouterr()
+        code, out = run(argv)
+        assert (code, out) == (1, ""), argv
+        assert "error" in json.loads(capsys.readouterr().err), argv
+
+
+def test_closed_pipe_exits_without_traceback(tmp_path):
+    pres = random_gentle(5)
+    source = tmp_path / "rnd5.alg"
+    source.write_text("\n".join(
+        [f"algebra {pres.name}", "vertices " + " ".join(pres.vertices)]
+        + [f"arrow {a.name} : {a.source} -> {a.target}" for a in pres.arrows]
+        + [f"rel {a} {b}" for a, b in sorted(pres.relations)]) + "\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # about 300 kB of output: far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gentle.cli", "enumerate", str(source), "--max-arrows", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()

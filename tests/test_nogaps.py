@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from gentle import (GBA, ReductionError, band_complex, band_witness,
+from gentle import (GBA, ReductionError, cohomology, nogaps, band_complex, band_witness,
                     beta_cohomology, beta_witness, classify_walk,
                     cohomology_dims, enumerate_gba, enumerate_gst,
                     hl_spectrum, longest_walk_arrows, parse_walk,
                     reduce_band, reduce_beta, reduce_stalk, reduce_string,
                     reduce_witness, select_target_summand, stalk_witness,
-                    string_witness, verify_counterexample_a0,
+                    string_complex, string_witness, verify_counterexample_a0,
                     witness_family)
 from gentle.complexes import mu_minimal_rotation
 
@@ -219,6 +219,87 @@ def test_witness_family_includes_beta_variants():
 def test_reduce_witness_dispatch():
     assert reduce_witness(a0, stalk_witness(a0, "2")).output.hl == 5
     assert reduce_witness(kron, band_witness(kron, parse_walk(kron, "a , ~b"))).output.hl == 1
+
+
+def test_family_beta_vectors_match_the_rank_route():
+    # the family reads each beta vector off its string vector; the rank
+    # route rebuilds the complex from the walk and must agree
+    betas = 0
+    for pres in full_corpus():
+        witnesses, _ = witness_family(pres, 5)
+        for w in witnesses:
+            if w.kind == "beta":
+                assert w.cohomology == beta_cohomology(pres, w.walk), w.literal()
+                betas += 1
+    assert betas >= 50
+
+
+def _count_ranks(monkeypatch):
+    """Record the origin of every complex ranked, at every binding."""
+    origins = []
+    real = cohomology.cohomology_dims
+
+    def counted(pres, cx):
+        origins.append(cx.origin)
+        return real(pres, cx)
+
+    monkeypatch.setattr(nogaps, "cohomology_dims", counted)
+    monkeypatch.setattr(cohomology, "cohomology_dims", counted)
+    return origins
+
+
+def test_witness_family_ranks_each_string_and_band_once(monkeypatch):
+    from corpus import random_gentle
+    origins = _count_ranks(monkeypatch)
+    betas = 0
+    for pres in (a0, kron, random_gentle(5)):
+        origins.clear()
+        witnesses, _ = witness_family(pres, 5)
+        kinds = [w.kind for w in witnesses]
+        betas += kinds.count("beta")
+        assert len(origins) == kinds.count("string") + kinds.count("band")
+        assert len(set(origins)) == len(origins)
+    assert betas
+
+
+def test_reduce_beta_ranks_its_walk_once(monkeypatch):
+    from corpus import random_gentle
+    origins = _count_ranks(monkeypatch)
+    rnd5 = random_gentle(5)
+    # one delegates to the string reduction, one runs its own search
+    for pres, literal in ((a0, "~a2 , a3.a4.a5.a6"), (rnd5, "r2 , r4 , ~r4.r5 , r3")):
+        walk = parse_walk(pres, literal)
+        origins.clear()
+        reduce_beta(pres, walk)
+        assert origins.count(f"string:{walk.literal()}") == 1, literal
+
+
+def test_reduction_search_evaluates_each_walk_once(monkeypatch):
+    from corpus import random_gentle
+    origins = _count_ranks(monkeypatch)
+    pres = random_gentle(5)
+    for walk in enumerate_gst(pres, 5).walks:
+        if string_witness(pres, walk).hl <= 1:
+            continue
+        origins.clear()
+        trace = reduce_string(pres, walk)
+        assert trace.output.hl == trace.input.hl - 1
+        # each proposed (kind, walk) is ranked once; what repeats is a plan
+        # re-proposing the input walk, or one walk proposed as string and
+        # as beta, and neither happens twice on this algebra
+        assert len(origins) - len(set(origins)) <= 1, walk.literal()
+
+
+def test_path_basis_is_built_once_per_presentation(monkeypatch):
+    from gentle import core
+    pres = load(A0)
+    calls = []
+    real = core.path_basis
+    walks = enumerate_gst(pres, 6).walks
+    monkeypatch.setattr(core, "path_basis", lambda p: calls.append(p) or real(p))
+    for walk in walks:
+        cohomology_dims(pres, string_complex(pres, walk))
+    assert len(calls) == 1
 
 
 # --- the built-in counterexample scan ---------------------------------------
