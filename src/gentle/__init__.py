@@ -19,7 +19,7 @@ from .nogaps import (A0_SOURCE, KRONECKER_SOURCE, ReductionError,
                      ReductionTrace, SpectrumReport, Witness, band_witness,
                      beta_witness, hl_spectrum, load_builtin, reduce_band,
                      reduce_beta, reduce_stalk, reduce_string, reduce_witness,
-                     select_target_summand, stalk_witness, string_witness,
-                     verify_counterexample_a0, witness_family)
+                     stalk_witness, string_witness, verify_counterexample_a0,
+                     witness_family)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -123,22 +123,6 @@ def _degree_masses(pres, walk):
     return contribs, masses
 
 
-def select_target_summand(pres, walk):
-    """The summand the surgery aims at: first nonzero in a degree realizing
-    the maximum, nearest the walk start among those."""
-    contribs, masses = _degree_masses(pres, walk)
-    top = max(masses.values(), default=0)
-    if top <= 1:
-        raise ReductionError("cohomological length is already <= 1")
-    candidates = []
-    for deg, mass in masses.items():
-        if mass != top:
-            continue
-        first = min(j for j, (d, c) in contribs.items() if d == deg and c > 0)
-        candidates.append(first)
-    return min(candidates)
-
-
 def _positive_candidates(pres, walk, mask_degree=None):
     """First nonzero summand of each realizing degree, farthest first.
 
@@ -171,51 +155,25 @@ def _arrow_path(pres, name):
     return Path(a.source, a.target, (name,))
 
 
-def _left_chain(pres, rest):
-    """Chain eliminating the exposed inverse start letter of ``rest``.
-
-    Returns (letters_to_prepend, is_beta, note) or None.  A periodic chain
-    is cut deep enough that the lowest degree of the extended walk occurs
-    only at the new start node, so the beta rule erases exactly the cut."""
-    p = rest[0].path
-    g = pres.relation_continuation(p.arrows[-1])
-    if g is None:
-        return None
-    return _pack_chain(pres, glue_bar(pres, _arrow_path(pres, g)), True, rest)
+def _flip(letters):
+    """The letters of the inverse walk: reversed, each one inverted."""
+    return tuple(l.inverted() for l in reversed(letters))
 
 
-def _right_chain(pres, rest):
-    """Chain eliminating the exposed direct end letter of ``rest``."""
-    p = rest[-1].path
-    g = pres.relation_continuation(p.arrows[-1])
-    if g is None:
-        return None
-    return _pack_chain(pres, glue_bar(pres, _arrow_path(pres, g)), False, rest)
+def _chain(pres, path, rest):
+    """The inverted glue chain of ``path``, to put before ``rest``.
 
-
-def _chain_from_path(pres, path, left, rest):
-    """Glue chain whose head is the full given path (used to turn an end
-    node into a turning point or run interior)."""
-    return _pack_chain(pres, glue_bar(pres, path), left, rest)
-
-
-def _pack_chain(pres, bar, left, rest):
+    Returns (letters, is_beta, note).  A periodic chain is cut deep enough
+    that the lowest degree of the extended walk occurs only at the new
+    start node, so the beta rule erases exactly the cut."""
+    bar = glue_bar(pres, path)
     if bar.finite:
         letters = bar.letters()
-        beta = False
     else:
-        mu = mu_profile(rest)
-        if left:
-            depth = 1 - min(mu)
-        else:
-            depth = mu[-1] - min(mu) + 1
-        count = max(len(bar.preperiod) + len(bar.period), depth)
-        letters = bar.letters(count)
-        beta = True
-    if left:
-        letters = [l.inverted() for l in reversed(letters)]
-    note = "periodic chain, beta" if beta else "finite chain"
-    return letters, beta, note
+        depth = 1 - min(mu_profile(rest))
+        letters = bar.letters(max(len(bar.preperiod) + len(bar.period), depth))
+    note = "finite chain" if bar.finite else "periodic chain, beta"
+    return _flip(letters), not bar.finite, note
 
 
 # ---------------------------------------------------------------------------
@@ -235,54 +193,120 @@ def _plan(tag, target, steps, kind, letters):
     return _Plan(tag, target, tuple(steps), kind, tuple(letters))
 
 
-def _prepend_plans(pres, tag, target, steps, rest, beta_forced=False):
-    """Variants of an exposed suffix: bare, or with the left glue chain."""
-    plans = [_plan(tag, target, steps + ["exposed start kept bare"],
-                   "beta" if beta_forced else "string", rest)]
-    first = rest[0]
-    if first.inverse:
-        chain = _left_chain(pres, rest)
-        if chain is not None:
-            letters, beta, note = chain
-            plans.append(_plan(tag, target,
-                               steps + [f"left glue chain of {len(letters)} letters ({note})"],
-                               "beta" if (beta or beta_forced) else "string",
-                               tuple(letters) + tuple(rest)))
+@dataclass(frozen=True)
+class _Side:
+    """The words of a surgery at one end of a walk.
+
+    Every plan is built at the start of a walk.  A plan at the end is built
+    on the flipped letters (the inverse walk), and ``frame`` flips its
+    letters back."""
+
+    first: str      # the exposed letter
+    start: str      # the exposed node
+    left: str       # where a glue chain goes
+    glue: str       # a glue chain as read along the walk
+    kept: str       # what a cut keeps
+    flipped: bool
+
+    def frame(self, letters):
+        return _flip(letters) if self.flipped else letters
+
+
+_START = _Side("first", "start", "left", "glue inverted chain", "suffix", False)
+_END = _Side("last", "end", "right", "glue chain", "prefix", True)
+
+
+def _glued(pres, side, tag, target, steps, what, path, rest):
+    """``rest`` behind the inverted glue chain of ``path``."""
+    chain, beta, note = _chain(pres, path, rest)
+    return _plan(tag, target, steps + [f"{side.glue} of {what} ({note})"],
+                 "beta" if beta else "string", side.frame(chain + rest))
+
+
+def _prepend_plans(pres, side, tag, target, steps, rest):
+    """Variants of an exposed start: bare, or with the glue chain that
+    eliminates an inverse first letter."""
+    plans = [_plan(tag, target, steps + [f"exposed {side.start} kept bare"],
+                   "string", side.frame(rest))]
+    g = pres.relation_continuation(rest[0].path.arrows[-1]) if rest[0].inverse else None
+    if g is not None:
+        chain, beta, note = _chain(pres, _arrow_path(pres, g), rest)
+        plans.append(_plan(tag, target,
+                           steps + [f"{side.left} glue chain of {len(chain)} letters ({note})"],
+                           "beta" if beta else "string", side.frame(chain + rest)))
     return plans
 
 
-def _append_plans(pres, tag, target, steps, rest, beta_forced=False):
-    plans = [_plan(tag, target, steps + ["exposed end kept bare"],
-                   "beta" if beta_forced else "string", rest)]
-    last = rest[-1]
-    if not last.inverse:
-        chain = _right_chain(pres, rest)
-        if chain is not None:
-            letters, beta, note = chain
-            plans.append(_plan(tag, target,
-                               steps + [f"right glue chain of {len(letters)} letters ({note})"],
-                               "beta" if (beta or beta_forced) else "string",
-                               tuple(rest) + tuple(letters)))
-    return plans
-
-
-def _shorten_letter(pres, letter, drop, from_walk_front):
-    """Drop ``drop`` arrows from the letter on its walk-front or walk-back."""
+def _shorten_letter(pres, letter, drop):
+    """Drop ``drop`` arrows from the walk-front of the letter; None when no
+    arrow would be left."""
     arrows = letter.path.arrows
     if drop >= len(arrows):
         return None
-    if from_walk_front != letter.inverse:
-        kept = arrows[drop:]
-    else:
-        kept = arrows[:-drop]
+    kept = arrows[:-drop] if letter.inverse else arrows[drop:]
     return Letter(pres.path(kept), letter.inverse)
+
+
+def _other_arrow(pres, letter):
+    """An arrow leaving the source of a direct letter other than its first
+    arrow, or None."""
+    return next((a.name for a in pres.out_arrows(letter.source)
+                 if a.name != letter.path.arrows[0]), None)
 
 
 def _one_sided(walk):
     return len({l.inverse for l in walk.letters}) == 1
 
 
-def _local_plans(pres, walk, q, contribs):
+def _end_plans(pres, side, letters, q, one_sided):
+    """Surgeries reducing the contribution at the start node of ``letters``.
+
+    The end of a walk is the start of its flipped letters, so this builds
+    the plans of both ends; ``side`` words the steps and turns the letters
+    back.  Only the end side also jumps to a truncated maximal path."""
+    first = letters[0]
+    tag = "ONE_SIDED_i0" if one_sided else "GENERAL_Q"
+    plans = []
+    if not first.inverse:
+        ext = maximal_extension(pres, first.path)
+        if ext.check is not None:
+            plans.append(_glued(pres, side, tag, q, [],
+                                f"the other maximal path {ext.check.label()}",
+                                ext.check, letters))
+        if first.length >= 2:
+            rest = (_shorten_letter(pres, first, 1),) + letters[1:]
+            steps = [f"truncate {side.first} arrow of the {side.first} letter"]
+            other = _other_arrow(pres, rest[0])
+            if other is not None:
+                plans.append(_glued(pres, side, tag, q, steps, f"arrow {other}",
+                                    _arrow_path(pres, other), rest))
+            plans.append(_plan(tag, q, steps + [f"no second arrow at the new {side.start}"],
+                               "string", side.frame(rest)))
+        elif len(letters) > 1:
+            plans.extend(_prepend_plans(pres, side, tag, q,
+                                        [f"drop the single-arrow {side.first} letter"],
+                                        letters[1:]))
+        return plans
+    g = pres.relation_continuation(first.path.arrows[-1])
+    if g is None:
+        return plans
+    tilde = maximal_extension(pres, _arrow_path(pres, g)).tilde
+    if side is _END:
+        tag = "ONE_SIDED_END" if one_sided else "GENERAL_Q"
+        if tilde.length >= 2:
+            head = Letter(pres.path(tilde.arrows[1:]))
+            jump = f"jump to the truncated maximal path {tilde.label()}"
+            other = _other_arrow(pres, head)
+            if other is not None:
+                plans.append(_plan(tag, q, [jump, f"prepend inverted arrow {other}", "beta"],
+                                   "beta", (Letter(_arrow_path(pres, other), True), head)))
+            plans.append(_plan(tag, q, [jump, "beta"], "beta", (head,)))
+    plans.append(_glued(pres, side, tag, q, [], f"the maximal path {tilde.label()}",
+                        tilde, letters))
+    return plans
+
+
+def _local_plans(pres, walk, q):
     """Local surgeries reducing the contribution at node q by one.
 
     Every plan is later checked against the rank computation; plans for
@@ -291,166 +315,50 @@ def _local_plans(pres, walk, q, contribs):
     """
     letters = walk.letters
     n = walk.width
-    plans = []
     one_sided = _one_sided(walk)
-
     if q == 0:
-        first = letters[0]
-        if not first.inverse:
-            tag = "ONE_SIDED_i0" if one_sided else "GENERAL_Q"
-            ext = maximal_extension(pres, first.path)
-            if ext.check is not None:
-                chain, beta, note = _chain_from_path(pres, ext.check, True, letters)
-                plans.append(_plan(tag, q,
-                                   [f"glue inverted chain of the other maximal path {ext.check.label()} ({note})"],
-                                   "beta" if beta else "string",
-                                   tuple(chain) + letters))
-            if first.length >= 2:
-                shorter = _shorten_letter(pres, first, 1, from_walk_front=True)
-                rest = (shorter,) + letters[1:]
-                others = [a for a in pres.out_arrows(shorter.source)
-                          if a.name != shorter.path.arrows[0]]
-                steps = ["truncate first arrow of the first letter"]
-                if others:
-                    chain, beta, note = _chain_from_path(
-                        pres, _arrow_path(pres, others[0].name), True, rest)
-                    plans.append(_plan(tag, q,
-                                       steps + [f"glue inverted chain of arrow {others[0].name} ({note})"],
-                                       "beta" if beta else "string",
-                                       tuple(chain) + rest))
-                plans.append(_plan(tag, q, steps + ["no second arrow at the new start"],
-                                   "string", rest))
-            elif n > 1:
-                rest = letters[1:]
-                plans.extend(_prepend_plans(pres, tag, q,
-                                            ["drop the single-arrow first letter"], rest))
+        return _end_plans(pres, _START, letters, q, one_sided)
+    if q == n:
+        return _end_plans(pres, _END, _flip(letters), q, one_sided)
+    before, after = letters[q - 1], letters[q]
+    plans = []
+    if not before.inverse and not after.inverse:
+        tag = "ONE_SIDED_MID" if one_sided else "GENERAL_Q"
+        if after.length >= 3:
+            rest = (_shorten_letter(pres, after, 2),) + letters[q + 1:]
+            steps = [f"truncate two arrows of letter {q + 1}", "discard the prefix"]
+            other = _other_arrow(pres, rest[0])
+            if other is not None:
+                plans.append(_glued(pres, _START, tag, q, steps, f"arrow {other}",
+                                    _arrow_path(pres, other), rest))
+            plans.append(_plan(tag, q, steps, "string", rest))
+        elif after.length == 2 and q + 1 <= n - 1:
+            plans.extend(_prepend_plans(pres, _START, tag, q,
+                                        [f"consume letter {q + 1}", "discard the prefix"],
+                                        letters[q + 1:]))
+        # negative-style fallback handled by the mirrored direction
+    elif before.inverse:
+        turn = not after.inverse
+        tag = "BACKWARD_TURN" if turn else "ONE_SIDED_MID" if one_sided else "GENERAL_Q"
+        if before.length >= 2:
+            rest = (_shorten_letter(pres, before, 1),) + letters[q:]
+            plans.extend(_prepend_plans(pres, _START, tag, q,
+                                        [f"truncate one arrow of letter {q}", "discard the prefix"],
+                                        rest))
         else:
-            tag = "ONE_SIDED_i0" if one_sided else "GENERAL_Q"
-            g = pres.relation_continuation(first.path.arrows[-1])
-            if g is not None:
-                tilde = maximal_extension(pres, _arrow_path(pres, g)).tilde
-                chain, beta, note = _chain_from_path(pres, tilde, True, letters)
-                plans.append(_plan(tag, q,
-                                   [f"glue inverted chain of the maximal path {tilde.label()} ({note})"],
-                                   "beta" if beta else "string",
-                                   tuple(chain) + letters))
-
-    elif q == n:
-        last = letters[-1]
-        if last.inverse:
-            tag = "ONE_SIDED_i0" if one_sided else "GENERAL_Q"
-            ext = maximal_extension(pres, last.path)
-            if ext.check is not None:
-                chain, beta, note = _chain_from_path(pres, ext.check, False, letters)
-                plans.append(_plan(tag, q,
-                                   [f"glue chain of the other maximal path {ext.check.label()} ({note})"],
-                                   "beta" if beta else "string",
-                                   letters + tuple(chain)))
-            if last.length >= 2:
-                shorter = _shorten_letter(pres, last, 1, from_walk_front=False)
-                rest = letters[:-1] + (shorter,)
-                others = [a for a in pres.out_arrows(shorter.target)
-                          if a.name != shorter.path.arrows[0]]
-                steps = ["truncate last arrow of the last letter"]
-                if others:
-                    chain, beta, note = _chain_from_path(
-                        pres, _arrow_path(pres, others[0].name), False, rest)
-                    plans.append(_plan(tag, q,
-                                       steps + [f"glue chain of arrow {others[0].name} ({note})"],
-                                       "beta" if beta else "string",
-                                       rest + tuple(chain)))
-                plans.append(_plan(tag, q, steps + ["no second arrow at the new end"],
-                                   "string", rest))
-            elif n > 1:
-                rest = letters[:-1]
-                plans.extend(_append_plans(pres, tag, q,
-                                           ["drop the single-arrow last letter"], rest))
-        else:
-            tag = "ONE_SIDED_END" if one_sided else "GENERAL_Q"
-            g = pres.relation_continuation(last.path.arrows[-1])
-            if g is not None:
-                tilde = maximal_extension(pres, _arrow_path(pres, g)).tilde
-                if tilde.length >= 2:
-                    head = Letter(pres.path(tilde.arrows[1:]))
-                    others = [a for a in pres.out_arrows(head.source)
-                              if a.name != head.path.arrows[0]]
-                    if others:
-                        inv = Letter(_arrow_path(pres, others[0].name), True)
-                        plans.append(_plan(tag, q,
-                                           [f"jump to the truncated maximal path {tilde.label()}",
-                                            f"prepend inverted arrow {others[0].name}", "beta"],
-                                           "beta", (inv, head)))
-                    plans.append(_plan(tag, q,
-                                       [f"jump to the truncated maximal path {tilde.label()}", "beta"],
-                                       "beta", (head,)))
-                chain, beta, note = _chain_from_path(pres, tilde, False, letters)
-                plans.append(_plan(tag, q,
-                                   [f"glue chain of the maximal path {tilde.label()} ({note})"],
-                                   "beta" if beta else "string",
-                                   letters + tuple(chain)))
-
-    else:
-        before, after = letters[q - 1], letters[q]
-        if not before.inverse and not after.inverse:
-            tag = "ONE_SIDED_MID" if one_sided else "GENERAL_Q"
-            if after.length >= 3:
-                shorter = _shorten_letter(pres, after, 2, from_walk_front=True)
-                rest = (shorter,) + letters[q + 1:]
-                steps = [f"truncate two arrows of letter {q + 1}", "discard the prefix"]
-                others = [a for a in pres.out_arrows(shorter.source)
-                          if a.name != shorter.path.arrows[0]]
-                if others:
-                    chain, beta, note = _chain_from_path(
-                        pres, _arrow_path(pres, others[0].name), True, rest)
-                    plans.append(_plan(tag, q,
-                                       steps + [f"glue inverted chain of arrow {others[0].name} ({note})"],
-                                       "beta" if beta else "string",
-                                       tuple(chain) + rest))
-                plans.append(_plan(tag, q, steps, "string", rest))
-            elif after.length == 2 and q + 1 <= n - 1:
-                rest = letters[q + 1:]
-                plans.extend(_prepend_plans(pres, tag, q,
-                                            [f"consume letter {q + 1}", "discard the prefix"], rest))
-            # negative-style fallback handled by the mirrored direction
-        elif before.inverse and after.inverse:
-            tag = "ONE_SIDED_MID" if one_sided else "GENERAL_Q"
-            if before.length >= 2:
-                shorter = _shorten_letter(pres, before, 1, from_walk_front=True)
-                rest = (shorter,) + letters[q:]
-                plans.extend(_prepend_plans(pres, tag, q,
-                                            [f"truncate one arrow of letter {q}", "discard the prefix"],
-                                            rest))
-            else:
-                rest = letters[q:]
-                plans.extend(_prepend_plans(pres, tag, q,
-                                            [f"consume letter {q}", "discard the prefix"], rest))
-        elif before.inverse and not after.inverse:
-            tag = "BACKWARD_TURN"
-            if before.length >= 2:
-                shorter = _shorten_letter(pres, before, 1, from_walk_front=True)
-                rest = (shorter,) + letters[q:]
-                plans.extend(_prepend_plans(pres, tag, q,
-                                            [f"truncate one arrow of letter {q}", "discard the prefix"],
-                                            rest))
-            else:
-                rest = letters[q:]
-                plans.extend(_prepend_plans(pres, tag, q,
-                                            [f"consume letter {q}", "discard the prefix"], rest))
-                ext = maximal_extension(pres, before.path)
-                if ext.check is not None:
-                    chain, beta, note = _chain_from_path(pres, ext.check, True, rest)
-                    plans.append(_plan(tag, q,
-                                       [f"consume letter {q}",
-                                        f"glue inverted chain of {ext.check.label()} ({note})"],
-                                       "beta" if beta else "string",
-                                       tuple(chain) + rest))
-            if after.length >= 2:
-                shorter = _shorten_letter(pres, after, 1, from_walk_front=False)
-                rest = letters[:q] + (shorter,)
-                plans.extend(_append_plans(pres, tag, q,
-                                           [f"truncate one arrow of letter {q + 1}",
-                                            "discard the suffix"], rest))
-        # forward turning points contribute nothing and are never targets
+            rest = letters[q:]
+            plans.extend(_prepend_plans(pres, _START, tag, q,
+                                        [f"consume letter {q}", "discard the prefix"], rest))
+            check = maximal_extension(pres, before.path).check if turn else None
+            if check is not None:
+                plans.append(_glued(pres, _START, tag, q, [f"consume letter {q}"],
+                                    check.label(), check, rest))
+        if turn and after.length >= 2:
+            rest = (_shorten_letter(pres, after.inverted(), 1),) + _flip(letters[:q])
+            plans.extend(_prepend_plans(pres, _END, tag, q,
+                                        [f"truncate one arrow of letter {q + 1}",
+                                         "discard the suffix"], rest))
+    # forward turning points contribute nothing and are never targets
     return plans
 
 
@@ -468,28 +376,18 @@ def _cut_plans(pres, walk):
     plans = []
     for f in fturns + rest:
         where = "forward turn" if f in fturns else "node"
-        for k in (0, 1, 2):
-            suffix = letters[f:]
-            if k:
-                head = _shorten_letter(pres, suffix[0], k, from_walk_front=True)
-                if head is None:
-                    continue
-                suffix = (head,) + suffix[1:]
-            trim = f" and truncate {k} arrows" if k else ""
-            plans.extend(_prepend_plans(pres, "GENERAL_Q", f,
-                                        [f"cut at {where} {f}, keep the suffix{trim}"],
-                                        suffix))
-        for k in (0, 1, 2):
-            prefix = letters[:f]
-            if k:
-                tail = _shorten_letter(pres, prefix[-1], k, from_walk_front=False)
-                if tail is None:
-                    continue
-                prefix = prefix[:-1] + (tail,)
-            trim = f" and truncate {k} arrows" if k else ""
-            plans.extend(_append_plans(pres, "GENERAL_Q", f,
-                                       [f"cut at {where} {f}, keep the prefix{trim}"],
-                                       prefix))
+        for side, piece in ((_START, letters[f:]), (_END, _flip(letters[:f]))):
+            for k in (0, 1, 2):
+                exposed = piece
+                if k:
+                    head = _shorten_letter(pres, piece[0], k)
+                    if head is None:
+                        continue
+                    exposed = (head,) + piece[1:]
+                trim = f" and truncate {k} arrows" if k else ""
+                plans.extend(_prepend_plans(pres, side, "GENERAL_Q", f,
+                                            [f"cut at {where} {f}, keep the {side.kept}{trim}"],
+                                            exposed))
     return plans
 
 
@@ -520,7 +418,7 @@ def _candidate_plans(pres, walk, mask_degree=None):
     ordered, contribs, masses, top = _positive_candidates(pres, walk, mask_degree)
     plans = []
     for q in ordered:
-        plans.extend(_local_plans(pres, walk, q, contribs))
+        plans.extend(_local_plans(pres, walk, q))
     plans.extend(_cut_plans(pres, walk))
     plans.extend(_stalk_plans(pres, walk, contribs, masses, top))
     return plans
@@ -547,8 +445,7 @@ def _aligned(input_witness, out):
     return replace(out, shift=dout - din)
 
 
-def _run_plans(pres, walk, target_hl, plans, direction, input_witness,
-               mask_degree=None):
+def _run_plans(pres, target_hl, plans, direction, input_witness):
     """First verified plan whose output has exactly the target length.
 
     When no single surgery lands, surgeries that leave the length unchanged
@@ -556,6 +453,7 @@ def _run_plans(pres, walk, target_hl, plans, direction, input_witness,
     one more round; the composed trace lists both stages.  A proposed walk
     is evaluated once: a repeat cannot land where its first proposal missed."""
     evaluated = set()
+    intermediates = []
 
     def fresh(plan):
         key = (plan.kind, plan.letters)
@@ -564,57 +462,57 @@ def _run_plans(pres, walk, target_hl, plans, direction, input_witness,
         evaluated.add(key)
         return True
 
-    intermediates = []
-    for plan in filter(fresh, plans):
-        for cand in _plan_witnesses(pres, plan):
+    def proposals():
+        """(plan, trace steps, plan to evaluate): the plans, then the plans
+        on each intermediate the first round left."""
+        for plan in filter(fresh, plans):
+            yield plan, plan.steps, plan
+        seen = set()
+        for plan, mid in intermediates:
+            key = tuple(l.sort_key() for l in mid.walk.letters)
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(seen) > 25:
+                break
+            mid_mask = min(mid.walk.mu) if mid.kind == "beta" else None
+            for inner in filter(fresh, _candidate_plans(pres, mid.walk, mid_mask)):
+                yield plan, plan.steps + ("then, on the intermediate walk:",) + inner.steps, inner
+
+    for plan, steps, proposal in proposals():
+        for cand in _plan_witnesses(pres, proposal):
             if cand.hl == target_hl:
                 if direction == "negative":
                     cand = _invert_witness(pres, cand)
                 return ReductionTrace(input_witness, plan.tag, plan.target,
-                                      direction, plan.steps,
-                                      _aligned(input_witness, cand))
-            if cand.hl == target_hl + 1 and cand.kind != "stalk":
+                                      direction, steps, _aligned(input_witness, cand))
+            # only the first round's near misses are expanded
+            if proposal is plan and cand.hl == target_hl + 1 and cand.kind != "stalk":
                 intermediates.append((plan, cand))
-    seen = set()
-    expanded = 0
-    for plan, mid in intermediates:
-        key = tuple(l.sort_key() for l in mid.walk.letters)
-        if key in seen:
-            continue
-        seen.add(key)
-        expanded += 1
-        if expanded > 25:
-            break
-        mid_mask = min(mid.walk.mu) if mid.kind == "beta" else None
-        for inner in filter(fresh, _candidate_plans(pres, mid.walk, mid_mask)):
-            for cand in _plan_witnesses(pres, inner):
-                if cand.hl == target_hl:
-                    if direction == "negative":
-                        cand = _invert_witness(pres, cand)
-                    steps = plan.steps + ("then, on the intermediate walk:",) + inner.steps
-                    return ReductionTrace(input_witness, plan.tag, plan.target,
-                                          direction, steps,
-                                          _aligned(input_witness, cand))
     return None
 
 
 def _invert_witness(pres, witness):
+    """The same witness on the inverse walk.  Node k of the inverse walk is
+    node n - k of the walk lowered by mu(n), so its vector is the walk's
+    shifted by mu(n) and nothing is ranked again."""
     if witness.kind == "stalk":
         return witness
-    walk = inverse_walk(pres, witness.walk)
-    if witness.kind == "beta":
-        return beta_witness(pres, walk, shift=witness.shift)
-    return string_witness(pres, walk, shift=witness.shift)
+    return replace(witness, walk=inverse_walk(pres, witness.walk),
+                   cohomology=witness.cohomology.shifted(witness.walk.mu[-1]))
 
 
 def reduce_string(pres, walk, negative=False):
     """A verified witness of length hl(P_walk) - 1 for a width >= 1 string."""
     if walk.kind not in (GST, GBA):
         raise PresentationError(f"reduce_string needs a generalized string, got {walk.kind}")
-    return _reduce_string(pres, string_witness(pres, walk), negative)
+    return _search(pres, string_witness(pres, walk), negative, mask=False)
 
 
-def _reduce_string(pres, witness, negative):
+def _search(pres, witness, negative, mask):
+    """The plan search on the walk, then on its inverse (the other way
+    round when ``negative``).  ``mask`` reads lengths with the walk's lowest
+    degree erased, as for a beta witness."""
     walk = witness.walk
     l = witness.hl
     if l <= 1:
@@ -622,12 +520,12 @@ def _reduce_string(pres, witness, negative):
     directions = ["negative", "positive"] if negative else ["positive", "negative"]
     for direction in directions:
         base = inverse_walk(pres, walk) if direction == "negative" else walk
-        trace = _run_plans(pres, base, l - 1, _candidate_plans(pres, base),
-                           direction, witness)
+        plans = _candidate_plans(pres, base, min(base.mu) if mask else None)
+        trace = _run_plans(pres, l - 1, plans, direction, witness)
         if trace is not None:
             return trace
-    raise ReductionError(
-        f"no verified surgery on {walk.literal()} reached length {l - 1}")
+    name = f"beta[{walk.literal()}]" if mask else walk.literal()
+    raise ReductionError(f"no verified surgery on {name} reached length {l - 1}")
 
 
 def reduce_beta(pres, walk, negative=False):
@@ -637,31 +535,21 @@ def reduce_beta(pres, walk, negative=False):
 
 
 def _reduce_beta(pres, plain, negative):
-    walk = plain.walk
     witness = _beta_of(plain)
-    l = witness.hl
-    if l <= 1:
-        raise ReductionError("cohomological length is already <= 1")
-    if plain.hl == l:
-        trace = _reduce_string(pres, plain, negative)
+    if plain.hl == witness.hl:
+        trace = _search(pres, plain, negative, mask=False)
         return ReductionTrace(witness, "BETA_TRUNCATION", trace.target_node,
                               trace.direction,
                               ("reduce the underlying string",) + trace.surgery,
                               trace.output)
-    directions = ["negative", "positive"] if negative else ["positive", "negative"]
-    for direction in directions:
-        base = inverse_walk(pres, walk) if direction == "negative" else walk
-        trace = _run_plans(pres, base, l - 1, _candidate_plans(pres, base, min(base.mu)),
-                           direction, witness)
-        if trace is not None:
-            return ReductionTrace(witness, "BETA_TRUNCATION", trace.target_node,
-                                  trace.direction, trace.surgery, trace.output)
-    raise ReductionError(
-        f"no verified surgery on beta[{walk.literal()}] reached length {l - 1}")
+    return replace(_search(pres, witness, negative, mask=True), case_tag="BETA_TRUNCATION")
 
 
 def reduce_band(pres, walk, lam=1, mult=1, negative=False):
-    """Unwind a band into the d-fold repeated string and reduce there."""
+    """Unwind a band into the d-fold repeated string and reduce there.
+
+    The band's vector is the beta vector of the unwound string plus one in
+    degree 1, so that beta vector has length l or l - 1."""
     if walk.kind != GBA:
         raise PresentationError(f"reduce_band needs a generalized band, got {walk.kind}")
     witness = band_witness(pres, walk, lam, mult)
@@ -677,20 +565,13 @@ def reduce_band(pres, walk, lam=1, mult=1, negative=False):
         return ReductionTrace(witness, "BAND_UNWIND", 0, "positive",
                               steps + ("beta of the unwound string already lands",),
                               beta)
-    if beta.hl == l:
-        inner = _reduce_beta(pres, plain, negative)
-        return ReductionTrace(witness, "BAND_UNWIND", inner.target_node,
-                              inner.direction, steps + inner.surgery, inner.output)
-    if plain.hl == l:
-        inner = _reduce_string(pres, plain, negative)
-        return ReductionTrace(witness, "BAND_UNWIND", inner.target_node,
-                              inner.direction, steps + inner.surgery, inner.output)
-    if plain.hl == l - 1:
-        return ReductionTrace(witness, "BAND_UNWIND", 0, "positive",
-                              steps + ("the unwound string already lands",), plain)
-    raise ReductionError(
-        f"band {walk.literal()} (lambda={lam}, d={mult}): unwound string has "
-        f"length {plain.hl} / beta {beta.hl}, expected {l} or {l - 1}")
+    if beta.hl != l:
+        raise ReductionError(
+            f"band {walk.literal()} (lambda={lam}, d={mult}): unwound string has "
+            f"length {plain.hl} / beta {beta.hl}, expected {l} or {l - 1}")
+    inner = _reduce_beta(pres, plain, negative)
+    return ReductionTrace(witness, "BAND_UNWIND", inner.target_node,
+                          inner.direction, steps + inner.surgery, inner.output)
 
 
 def reduce_stalk(pres, vertex):

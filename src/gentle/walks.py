@@ -320,75 +320,69 @@ class Enumeration:
     max_arrows: int
 
 
+def _letter_graph(pres):
+    letters = letter_universe(pres)
+    return letters, transition_edges(pres, letters)
+
+
+def _prefixes(letters, edges, max_arrows):
+    """Every letter sequence along the transition graph with arrow total
+    <= max_arrows, walked with an explicit stack."""
+    if max_arrows < 0:
+        raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
+    stack = [((start,), start.length) for start in letters if start.length <= max_arrows]
+    while stack:
+        prefix, used = stack.pop()
+        yield prefix
+        for nxt in edges[prefix[-1]]:
+            if used + nxt.length <= max_arrows:
+                stack.append((prefix + (nxt,), used + nxt.length))
+
+
+def _enumeration(found, letters, edges, max_arrows):
+    """The found walks in order; complete when the letter-transition graph
+    is acyclic and its longest walk fits the bound."""
+    longest = _longest_walk(letters, edges)
+    return Enumeration(tuple(sorted(found.values(), key=GenWalk.sort_key)),
+                       longest is not None and longest <= max_arrows, max_arrows)
+
+
 def enumerate_gst(pres, max_arrows):
     """Every canonical generalized string with arrow total <= max_arrows.
 
     The completeness flag is exact: it is set when the letter-transition
     graph is acyclic and the longest possible walk fits the bound.
     """
-    if max_arrows < 0:
-        raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
-    letters = letter_universe(pres)
-    edges = transition_edges(pres, letters)
+    letters, edges = _letter_graph(pres)
     found = {}
-    stack = []
-    for start in letters:
-        if start.length > max_arrows:
-            continue
-        stack.append((start,))
-    while stack:
-        prefix = stack.pop()
-        walk = classify_walk(pres, prefix)
-        canon = canonical_string(pres, walk)
+    for prefix in _prefixes(letters, edges, max_arrows):
+        canon = canonical_string(pres, classify_walk(pres, prefix))
         found.setdefault(canon.sort_key(), canon)
-        used = sum(l.length for l in prefix)
-        for nxt in edges[prefix[-1]]:
-            if used + nxt.length <= max_arrows:
-                stack.append(prefix + (nxt,))
-    walks = tuple(sorted(found.values(), key=GenWalk.sort_key))
-    longest = longest_walk_arrows(pres)
-    complete = longest is not None and longest <= max_arrows
-    return Enumeration(walks, complete, max_arrows)
+    return _enumeration(found, letters, edges, max_arrows)
 
 
 def enumerate_gba(pres, max_arrows):
     """Primitive canonical generalized bands with arrow total <= max_arrows."""
-    if max_arrows < 0:
-        raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
-    letters = letter_universe(pres)
-    edges = transition_edges(pres, letters)
+    letters, edges = _letter_graph(pres)
     found = {}
-
-    def extend(prefix, used):
-        last = prefix[-1]
-        for nxt in edges[last]:
-            total = used + nxt.length
-            if total > max_arrows:
-                continue
-            new = prefix + (nxt,)
-            if (nxt.target == prefix[0].source
-                    and sum(+1 if l.inverse else -1 for l in new) == 0
-                    and junction_reason(pres, nxt, prefix[0]) is None):
-                walk = classify_walk(pres, new)
-                if walk.kind == GBA and is_primitive(walk):
-                    canon = canonical_band(pres, walk)
-                    found.setdefault(canon.sort_key(), canon)
-            extend(new, total)
-
-    for start in letters:
-        if start.length <= max_arrows:
-            extend((start,), start.length)
-    walks = tuple(sorted(found.values(), key=GenWalk.sort_key))
-    longest = longest_walk_arrows(pres)
-    complete = longest is not None and longest <= max_arrows
-    return Enumeration(walks, complete, max_arrows)
+    for prefix in _prefixes(letters, edges, max_arrows):
+        if (prefix[-1].target == prefix[0].source
+                and sum(+1 if l.inverse else -1 for l in prefix) == 0
+                and junction_reason(pres, prefix[-1], prefix[0]) is None):
+            walk = classify_walk(pres, prefix)
+            if walk.kind == GBA and is_primitive(walk):
+                canon = canonical_band(pres, walk)
+                found.setdefault(canon.sort_key(), canon)
+    return _enumeration(found, letters, edges, max_arrows)
 
 
 def longest_walk_arrows(pres):
     """Arrow total of the longest generalized walk, or None when unbounded
     (the letter-transition graph has a cycle)."""
-    letters = letter_universe(pres)
-    edges = transition_edges(pres, letters)
+    return _longest_walk(*_letter_graph(pres))
+
+
+def _longest_walk(letters, edges):
     order = _topological_order(letters, edges)
     if order is None:
         return None
@@ -438,8 +432,7 @@ def is_derived_discrete(pres):
     component exactly when the component has a zero-weight cycle or cycles
     of both signs.
     """
-    letters = letter_universe(pres)
-    edges = transition_edges(pres, letters)
+    letters, edges = _letter_graph(pres)
     weight = {l: (+1 if l.inverse else -1) for l in letters}
     comp_summaries = []
     witness = None

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,9 +7,9 @@ import pytest
 from gentle import (GBA, ReductionError, cohomology, nogaps, band_complex, band_witness,
                     beta_cohomology, beta_witness, classify_walk,
                     cohomology_dims, enumerate_gba, enumerate_gst,
-                    hl_spectrum, longest_walk_arrows, parse_walk,
-                    reduce_band, reduce_beta, reduce_stalk, reduce_string,
-                    reduce_witness, select_target_summand, stalk_witness,
+                    hl_spectrum, inverse_walk, longest_walk_arrows,
+                    node_contributions, parse_walk, reduce_band, reduce_beta,
+                    reduce_stalk, reduce_string, reduce_witness, stalk_witness,
                     string_complex, string_witness, verify_counterexample_a0,
                     witness_family)
 from gentle.complexes import mu_minimal_rotation
@@ -21,30 +23,12 @@ square = load(SQUARE)
 chain5 = load(TWO_RELATION_CHAIN)
 
 
-# --- target selection -------------------------------------------------------
+# --- contributions ----------------------------------------------------------
 
-def test_select_target_base_walk():
-    assert select_target_summand(a0, parse_walk(a0, "a1")) == 1
-
-
-def test_select_target_maximum_at_the_start():
-    # one-sided walk whose top value sits at node 0
-    assert select_target_summand(a0, parse_walk(a0, "a2")) == 0
-
-
-def test_select_target_prefers_walk_earlier_node():
-    # two nodes contribute in the top degree; the earlier one is returned
+def test_node_contributions_two_nodes_in_the_top_degree():
     walk = parse_walk(chain5, "a , b , ~u , ~v")
-    contributions = {0: 1, 4: 1}
-    from gentle import node_contributions
     actual = {j: c for j, (d, c) in node_contributions(chain5, walk).items() if d == 0 and c}
-    assert actual == contributions
-    assert select_target_summand(chain5, walk) == 0
-
-
-def test_select_target_requires_length_two():
-    with pytest.raises(ReductionError):
-        select_target_summand(a0, parse_walk(a0, "a1 , a3"))
+    assert actual == {0: 1, 4: 1}
 
 
 # --- string reductions ------------------------------------------------------
@@ -78,6 +62,37 @@ def test_reduce_backward_turn():
     assert trace.case_tag == "BACKWARD_TURN"
 
 
+def test_inverse_walk_shifts_the_vector_by_the_end_degree():
+    # node k of the inverse walk is node n - k of the walk, lowered by mu(n)
+    strings = 0
+    for pres in full_corpus():
+        for walk in enumerate_gst(pres, 5).walks:
+            inv = inverse_walk(pres, walk)
+            vec = cohomology_dims(pres, string_complex(pres, walk))
+            assert cohomology_dims(pres, string_complex(pres, inv)) == \
+                vec.shifted(walk.mu[-1]), walk.literal()
+            assert beta_cohomology(pres, inv) == \
+                beta_cohomology(pres, walk).shifted(walk.mu[-1]), walk.literal()
+            strings += 1
+    assert strings >= 900
+
+
+def test_invert_witness_reads_the_vector_off(monkeypatch):
+    from corpus import random_gentle
+    rnd5 = random_gentle(5)
+    walk = parse_walk(rnd5, "r2 , r4 , ~r4.r5 , r3")
+    inv = inverse_walk(rnd5, walk)
+    expected = [string_witness(rnd5, inv), beta_witness(rnd5, inv)]
+    witnesses = [string_witness(rnd5, walk), beta_witness(rnd5, walk)]
+
+    def unranked(pres, cx):
+        raise AssertionError(f"ranked {cx.origin}")
+
+    monkeypatch.setattr(nogaps, "cohomology_dims", unranked)
+    monkeypatch.setattr(cohomology, "cohomology_dims", unranked)
+    assert [nogaps._invert_witness(rnd5, w) for w in witnesses] == expected
+
+
 def test_reduce_rejects_length_one():
     with pytest.raises(ReductionError):
         reduce_string(a0, parse_walk(a0, "a1 , a3"))
@@ -106,6 +121,27 @@ def test_reductions_land_exactly_across_corpus():
                 assert beta_cohomology(pres, out.walk) == out.cohomology
             checked += 1
     assert checked >= 100
+
+
+def test_reduction_traces_are_pinned():
+    # every family witness with hl > 1 at bound 4, reduced with each
+    # direction tried first; the digest holds the surgery wording and the
+    # plan order fixed
+    digest = hashlib.sha256()
+    reductions = 0
+    for pres in full_corpus():
+        witnesses, _ = witness_family(pres, 4)
+        for w in witnesses:
+            if w.hl <= 1:
+                continue
+            for negative in (False, True):
+                trace = reduce_witness(pres, w, negative=negative)
+                line = [pres.name, w.literal(), negative, trace.to_json()]
+                digest.update(json.dumps(line).encode() + b"\n")
+                reductions += 1
+    assert reductions == 1366
+    assert digest.hexdigest() == \
+        "07a2b94af03cb25e8a3d184798dd936455c9a5fc13df5467933bb40a28066408"
 
 
 # --- beta reductions --------------------------------------------------------

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +129,18 @@ def test_enumerate_gba():
 def test_enumerate_gba_only_primitive():
     for walk in enumerate_gba(kron, 8).walks:
         assert is_primitive(walk)
+
+
+def test_enumerate_gba_long_walks_need_no_recursion():
+    # one stack frame per letter would overflow long before 250 letters
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        bands = enumerate_gba(kron, 250)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [w.literal() for w in bands.walks] == ["a , ~b"]
+    assert not bands.complete
 
 
 def test_derived_discrete_decisions():
