@@ -12,7 +12,7 @@ from .walks import (GBA, GST, INVALID, BarDescriptor, Enumeration, GenWalk,
 from .complexes import (ProjComplex, Summand, band_complex, brutal_truncate,
                         check_minimal, complex_to_json, differential_matrix,
                         shift, stalk_complex, string_complex)
-from .cohomology import (CohVector, beta_cohomology, beta_window,
+from .cohomology import (CohVector, band_sums, beta_cohomology, beta_window,
                          cohomology_dims, hl, hw, hr, node_contributions,
                          node_sums)
 from .nogaps import (A0_SOURCE, KRONECKER_SOURCE, ReductionError,

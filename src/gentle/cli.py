@@ -1,7 +1,8 @@
 """Command line front end: every operation with JSON output on stdout.
 
 Exit codes: 0 all checks pass, 1 input error, 2 a spectrum gap was found,
-3 an assertion of the built-in counterexample scan failed.
+3 an assertion of the built-in counterexample scan failed, or a reduction
+failed in ``spectrum --reduce-check``.
 """
 from __future__ import annotations
 

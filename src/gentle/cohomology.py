@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .core import Path, PresentationError, maximal_extension
 from .exact import rank
 from .walks import GST, GBA, classify_walk, glue_bar
-from .complexes import (differential_matrix, shift as shift_complex,
-                        string_complex, total_dimension)
+from .complexes import (check_band, differential_matrix, mu_minimal_rotation,
+                        shift as shift_complex, string_complex, total_dimension)
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,18 @@ def node_sums(pres, walk):
     for _, (deg, c) in node_contributions(pres, walk).items():
         agg[deg] = agg.get(deg, 0) + c
     return CohVector.from_dict(agg)
+
+
+def band_sums(pres, walk, mult):
+    """The cohomology of every band complex of (walk, lambda, mult), in
+    closed form: lambda does not enter.  On the mu-minimal rotation, whose
+    bottom degree is 0, the d = 1 vector is the string vector of the same
+    letters with degree 0 erased and one more unit in degree 1; multiplicity
+    d multiplies it by d.  Both identities are tested against the rank route."""
+    check_band(walk, 1, mult)
+    agg = node_sums(pres, mu_minimal_rotation(pres, walk)).drop_degree(0).as_dict()
+    agg[1] = agg.get(1, 0) + 1
+    return CohVector.from_dict({deg: mult * dim for deg, dim in agg.items()})
 
 
 # ---------------------------------------------------------------------------

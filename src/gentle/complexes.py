@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PresentationError, _vertex_basis, compose
-from .walks import GBA, GST, rotate_walk
+from .walks import GBA, GST, is_primitive, rotate_walk
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,27 @@ def mu_minimal_rotation(pres, walk):
     return rotate_walk(pres, walk, k)
 
 
-def band_complex(pres, walk, lam, d):
-    """The band complex for (walk, lambda, d), built on the rotation whose
-    degree minimum sits at node 0; then the first letter is inverse, the
-    closing letter direct, and degree 0 carries no cohomology."""
+def check_band(walk, lam, d):
+    """Reject what has no indecomposable band complex: a walk that is not a
+    band, a proper power (its complex splits over an algebraically closed
+    field), lambda = 0 or d < 1.  Returns lambda as a Fraction."""
     if walk.kind != GBA:
         raise PresentationError(f"band_complex needs a generalized band, got {walk.kind}")
+    if not is_primitive(walk):
+        raise PresentationError(f"band {walk.literal()} is a proper power")
     lam = Fraction(lam)
     if lam == 0:
         raise PresentationError("band parameter lambda must be nonzero")
     if d < 1:
         raise PresentationError("band multiplicity d must be >= 1")
+    return lam
+
+
+def band_complex(pres, walk, lam, d):
+    """The band complex for (walk, lambda, d), built on the rotation whose
+    degree minimum sits at node 0; then the first letter is inverse, the
+    closing letter direct, and degree 0 carries no cohomology."""
+    lam = check_band(walk, lam, d)
     walk = mu_minimal_rotation(pres, walk)
     n = walk.width
     mu = walk.mu
@@ -206,16 +216,19 @@ def differential_matrix(pres, cx, degree):
     """The degree -> degree+1 differential expanded on path bases.
 
     Rows are indexed by basis paths of the degree+1 summands, columns by
-    basis paths of the degree summands, both in path_basis order.
+    basis paths of the degree summands, both in path_basis order.  Integral
+    scalars enter as ints, so a string complex expands to an int matrix.
     """
     basis, pos = _vertex_basis(pres)
     col_offsets, ncols = _slot_offsets(basis, cx.summands.get(degree, ()))
     row_offsets, nrows = _slot_offsets(basis, cx.summands.get(degree + 1, ()))
-    matrix = [[Fraction(0)] * ncols for _ in range(nrows)]
+    matrix = [[0] * ncols for _ in range(nrows)]
     for (src_idx, dst_idx), terms in cx.diffs.get(degree, {}).items():
         src = cx.summands[degree][src_idx]
         dst = cx.summands[degree + 1][dst_idx]
         for path, scalar in terms:
+            if scalar.denominator == 1:
+                scalar = scalar.numerator
             for k, u in enumerate(basis[src.vertex]):
                 image = compose(pres, path, u)
                 if image is None:

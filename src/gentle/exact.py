@@ -47,15 +47,14 @@ def rank(rows):
 
 
 def _clear_row(row):
-    """Scale a row of Fractions/ints to coprime integers."""
-    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-    denom = 1
-    for x in fracs:
-        denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    """Scale a row of Fractions/ints to coprime integers.  A row with every
+    denominator 1 is its numerators: an integral matrix builds no Fraction."""
+    denom = lcm(*[x.denominator for x in row])
+    if denom == 1:
+        ints = [x.numerator for x in row]
+    else:
+        ints = [(x.numerator * denom) // x.denominator for x in row]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints

@@ -4,8 +4,10 @@ Given a witness of cohomological length l > 1 this module produces one of
 length exactly l - 1 by cutting and regluing its walk: truncate an arrow
 from the letter governing the selected summand, discard the far side, and
 attach relation chains so every newly exposed node contributes nothing.
-Each candidate surgery is verified against the exact rank computation
-before it is accepted; a surgery that misses l - 1 is never returned.
+Witness vectors are read off the walk in closed form, candidate surgeries
+included.  The exact rank computation stays the independent oracle: it
+checks the one surgery that lands before it is returned, and a surgery that
+misses l - 1 is never returned.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ from .core import Path, PresentationError, dim_projective, maximal_extension, pa
 from .walks import (GBA, GST, Letter, classify_walk, enumerate_gba,
                     enumerate_gst, glue_bar, inverse_walk, is_derived_discrete,
                     longest_walk_arrows, mu_profile)
-from .complexes import band_complex, mu_minimal_rotation, string_complex
-from .cohomology import CohVector, beta_cohomology, cohomology_dims, node_contributions
+from .complexes import check_band, mu_minimal_rotation, string_complex
+from .cohomology import (CohVector, band_sums, beta_cohomology, cohomology_dims,
+                         node_contributions, node_sums)
 
 
 class ReductionError(RuntimeError):
@@ -64,13 +67,12 @@ class Witness:
 
 
 def string_witness(pres, walk, shift=0):
-    vec = cohomology_dims(pres, string_complex(pres, walk))
-    return Witness("string", walk=walk, shift=shift, cohomology=vec)
+    return Witness("string", walk=walk, shift=shift, cohomology=node_sums(pres, walk))
 
 
 def beta_witness(pres, walk, shift=0):
-    return Witness("beta", walk=walk, shift=shift,
-                   cohomology=beta_cohomology(pres, walk))
+    vec = node_sums(pres, walk).drop_degree(min(walk.mu))
+    return Witness("beta", walk=walk, shift=shift, cohomology=vec)
 
 
 def _beta_of(string):
@@ -81,9 +83,9 @@ def _beta_of(string):
 
 
 def band_witness(pres, walk, lam=1, mult=1, shift=0):
-    vec = cohomology_dims(pres, band_complex(pres, walk, lam, mult))
-    return Witness("band", walk=walk, lam=Fraction(lam), mult=mult,
-                   shift=shift, cohomology=vec)
+    lam = check_band(walk, lam, mult)
+    return Witness("band", walk=walk, lam=lam, mult=mult, shift=shift,
+                   cohomology=band_sums(pres, walk, mult))
 
 
 def stalk_witness(pres, vertex, shift=0):
@@ -309,7 +311,7 @@ def _end_plans(pres, side, letters, q, one_sided):
 def _local_plans(pres, walk, q):
     """Local surgeries reducing the contribution at node q by one.
 
-    Every plan is later checked against the rank computation; plans for
+    Every plan is later evaluated in closed form; plans for
     the degenerate corners (a governing letter fully consumed) are emitted
     in several glue variants and the check keeps whichever lands.
     """
@@ -445,8 +447,24 @@ def _aligned(input_witness, out):
     return replace(out, shift=dout - din)
 
 
+def _verified(pres, trace):
+    """The trace, once the rank route agrees with the closed-form vector of
+    its output: the one rank computation of a reduction.  A stalk's vector
+    is its projective's dimension and is not ranked."""
+    out = trace.output
+    if out.kind == "string":
+        ranked = cohomology_dims(pres, string_complex(pres, out.walk))
+    elif out.kind == "beta":
+        ranked = beta_cohomology(pres, out.walk)
+    else:
+        return trace
+    if ranked != out.cohomology:
+        raise ReductionError(f"closed form and rank disagree on {out.literal()}")
+    return trace
+
+
 def _run_plans(pres, target_hl, plans, direction, input_witness):
-    """First verified plan whose output has exactly the target length.
+    """First plan whose output has exactly the target length, verified.
 
     When no single surgery lands, surgeries that leave the length unchanged
     (typically a glue that levels a second realizing degree) are expanded
@@ -484,8 +502,9 @@ def _run_plans(pres, target_hl, plans, direction, input_witness):
             if cand.hl == target_hl:
                 if direction == "negative":
                     cand = _invert_witness(pres, cand)
-                return ReductionTrace(input_witness, plan.tag, plan.target,
-                                      direction, steps, _aligned(input_witness, cand))
+                return _verified(pres, ReductionTrace(
+                    input_witness, plan.tag, plan.target, direction, steps,
+                    _aligned(input_witness, cand)))
             # only the first round's near misses are expanded
             if proposal is plan and cand.hl == target_hl + 1 and cand.kind != "stalk":
                 intermediates.append((plan, cand))
@@ -562,9 +581,9 @@ def reduce_band(pres, walk, lam=1, mult=1, negative=False):
     plain = string_witness(pres, unwound)
     beta = _beta_of(plain)
     if beta.hl == l - 1:
-        return ReductionTrace(witness, "BAND_UNWIND", 0, "positive",
-                              steps + ("beta of the unwound string already lands",),
-                              beta)
+        return _verified(pres, ReductionTrace(
+            witness, "BAND_UNWIND", 0, "positive",
+            steps + ("beta of the unwound string already lands",), beta))
     if beta.hl != l:
         raise ReductionError(
             f"band {walk.literal()} (lambda={lam}, d={mult}): unwound string has "
@@ -590,9 +609,9 @@ def reduce_stalk(pres, vertex):
         out = _beta_of(out)
     if out.hl != l - 1:
         raise ReductionError(f"stalk reduction at {vertex} missed {l - 1}")
-    return ReductionTrace(witness, "GENERAL_Q", 0, "positive",
-                          (f"replace the stalk by the maximal path {tilde.label()}",),
-                          out)
+    return _verified(pres, ReductionTrace(
+        witness, "GENERAL_Q", 0, "positive",
+        (f"replace the stalk by the maximal path {tilde.label()}",), out))
 
 
 def reduce_witness(pres, witness, negative=False):

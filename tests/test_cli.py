@@ -154,9 +154,13 @@ def test_input_errors_exit_one(tmp_path, capsys):
     assert code == 1
     empty = tmp_path / "empty.alg"
     empty.write_text("# declares nothing\n")
+    power = ["--walk", "a , ~b , a , ~b", "--band"]
     for argv in (["validate", str(empty)],
                  ["spectrum", A0_FILE, "--max-arrows", "-1"],
-                 ["enumerate", A0_FILE, "--max-arrows", "-1"]):
+                 ["enumerate", A0_FILE, "--max-arrows", "-1"],
+                 ["complex", KR_FILE] + power,
+                 ["cohomology", KR_FILE] + power,
+                 ["reduce", KR_FILE] + power):
         capsys.readouterr()
         code, out = run(argv)
         assert (code, out) == (1, ""), argv

@@ -1,5 +1,7 @@
-from gentle import (CohVector, band_complex, beta_cohomology, beta_window,
-                    cohomology_dims, dim_projective,
+from fractions import Fraction
+
+from gentle import (CohVector, band_complex, band_sums, beta_cohomology, beta_window,
+                    cohomology_dims, dim_projective, enumerate_gba,
                     enumerate_gst, hl, hw, hr, node_contributions, node_sums,
                     parse_walk, stalk_complex, string_complex)
 
@@ -122,3 +124,28 @@ def test_beta_window_agrees_with_beta_rule():
 def test_accessor_aliases():
     vec = cohomology_dims(a0, string_complex(a0, parse_walk(a0, "a1")))
     assert (hl(vec), hw(vec), hr(vec)) == (4, 2, 8)
+
+
+# --- the closed form against the rank oracle --------------------------------
+
+def test_node_sums_equal_rank_on_every_corpus_string():
+    strings = 0
+    for pres in full_corpus():
+        for walk in enumerate_gst(pres, 6).walks:
+            assert node_sums(pres, walk) == \
+                cohomology_dims(pres, string_complex(pres, walk)), walk.literal()
+            strings += 1
+    assert strings == 1721
+
+
+def test_band_sums_equal_rank_on_every_corpus_band():
+    cases = 0
+    for pres in full_corpus():
+        for band in enumerate_gba(pres, 6).walks:
+            for d in (1, 2, 3, 4):
+                closed = band_sums(pres, band, d)
+                for lam in (Fraction(1), Fraction(-2), Fraction(1, 3)):
+                    assert closed == cohomology_dims(pres, band_complex(pres, band, lam, d)), \
+                        (band.literal(), lam, d)
+                    cases += 1
+    assert cases == 120

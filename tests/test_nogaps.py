@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from gentle import (GBA, ReductionError, cohomology, nogaps, band_complex, band_witness,
+from gentle import (GBA, CohVector, PresentationError, ReductionError, cohomology,
+                    nogaps, band_complex, band_witness,
                     beta_cohomology, beta_witness, classify_walk,
                     cohomology_dims, enumerate_gba, enumerate_gst,
                     hl_spectrum, inverse_walk, longest_walk_arrows,
@@ -284,46 +286,124 @@ def _count_ranks(monkeypatch):
     return origins
 
 
-def test_witness_family_ranks_each_string_and_band_once(monkeypatch):
+def test_witness_family_ranks_nothing(monkeypatch):
     from corpus import random_gentle
     origins = _count_ranks(monkeypatch)
-    betas = 0
+    kinds = set()
     for pres in (a0, kron, random_gentle(5)):
-        origins.clear()
         witnesses, _ = witness_family(pres, 5)
-        kinds = [w.kind for w in witnesses]
-        betas += kinds.count("beta")
-        assert len(origins) == kinds.count("string") + kinds.count("band")
-        assert len(set(origins)) == len(origins)
-    assert betas
+        kinds.update(w.kind for w in witnesses)
+    assert kinds == {"stalk", "string", "beta", "band"}
+    assert origins == []
 
 
-def test_reduce_beta_ranks_its_walk_once(monkeypatch):
+def _ranked_once(origins, trace):
+    """The ranks of one reduction: its output's string complex, or nothing
+    for a stalk."""
+    out = trace.output
+    expected = [] if out.kind == "stalk" else [f"string:{out.walk.literal()}"]
+    assert origins == expected, trace.input.literal()
+
+
+def test_each_reduction_ranks_its_output_once(monkeypatch):
     from corpus import random_gentle
     origins = _count_ranks(monkeypatch)
     rnd5 = random_gentle(5)
-    # one delegates to the string reduction, one runs its own search
+    # one beta delegates to the string reduction, one runs its own search
     for pres, literal in ((a0, "~a2 , a3.a4.a5.a6"), (rnd5, "r2 , r4 , ~r4.r5 , r3")):
         walk = parse_walk(pres, literal)
-        origins.clear()
-        reduce_beta(pres, walk)
-        assert origins.count(f"string:{walk.literal()}") == 1, literal
+        for negative in (False, True):
+            origins.clear()
+            _ranked_once(origins, reduce_beta(pres, walk, negative=negative))
+    # a landing on a stalk, the band shortcut, a band delegating to its
+    # beta, and a stalk input
+    band = parse_walk(rnd5, "r1 , r3.r1 , ~r2 , ~r2.r3")
+    runs = [lambda neg: reduce_string(square, parse_walk(square, "b , ~d"), neg),
+            lambda neg: reduce_band(kron, parse_walk(kron, "a , ~b"), 1, 2, neg),
+            lambda neg: reduce_band(rnd5, band, Fraction(1, 3), 1, neg),
+            lambda neg: reduce_stalk(a0, "2")]
+    kinds, cases = set(), set()
+    for run in runs:
+        for negative in (False, True):
+            origins.clear()
+            trace = run(negative)
+            _ranked_once(origins, trace)
+            kinds.add(trace.output.kind)
+            cases.add((trace.input.kind, trace.surgery[-1].startswith("beta of the unwound")))
+    assert kinds == {"stalk", "string", "beta"}
+    assert ("band", True) in cases and ("band", False) in cases
+
+
+def test_disagreeing_rank_fails_the_reduction(monkeypatch):
+    # the output check is the rank oracle: a rank that disagrees with the
+    # closed form fails the reduction, for a string and for a beta output
+    walks = [parse_walk(a0, "a1 , a3.a4.a5.a6"), parse_walk(a0, "a1")]
+    outputs = [reduce_string(a0, walk).output for walk in walks]
+    assert [out.kind for out in outputs] == ["string", "beta"]
+    wrong = lambda *args: CohVector.from_dict({7: 1})
+    monkeypatch.setattr(nogaps, "cohomology_dims", wrong)
+    monkeypatch.setattr(nogaps, "beta_cohomology", wrong)
+    for walk, out in zip(walks, outputs):
+        text = f"closed form and rank disagree on {out.literal()}"
+        with pytest.raises(ReductionError, match=re.escape(text)):
+            reduce_string(a0, walk)
 
 
 def test_reduction_search_evaluates_each_walk_once(monkeypatch):
     from corpus import random_gentle
-    origins = _count_ranks(monkeypatch)
     pres = random_gentle(5)
+    evaluated = []
+    real = cohomology.node_sums
+    monkeypatch.setattr(nogaps, "node_sums",
+                        lambda p, walk: evaluated.append(walk.literal()) or real(p, walk))
+    reductions = 0
     for walk in enumerate_gst(pres, 5).walks:
-        if string_witness(pres, walk).hl <= 1:
+        if real(pres, walk).hl <= 1:
             continue
-        origins.clear()
+        evaluated.clear()
         trace = reduce_string(pres, walk)
         assert trace.output.hl == trace.input.hl - 1
-        # each proposed (kind, walk) is ranked once; what repeats is a plan
-        # re-proposing the input walk, or one walk proposed as string and
-        # as beta, and neither happens twice on this algebra
-        assert len(origins) - len(set(origins)) <= 1, walk.literal()
+        # each proposed (kind, walk) is evaluated once; what repeats is a
+        # plan re-proposing the input walk, or one walk proposed as string
+        # and as beta, and neither happens twice on this algebra
+        assert len(evaluated) - len(set(evaluated)) <= 1, walk.literal()
+        reductions += 1
+    assert reductions >= 200
+
+
+def test_every_corpus_witness_reduces():
+    # every witness with hl > 1 at bound 6, bands at d = 1..4 and three
+    # lambdas, lands on exactly l - 1
+    reductions = 0
+    for pres in full_corpus():
+        witnesses, _ = witness_family(pres, 6)
+        for w in witnesses:
+            variants = [w] if w.kind != "band" else [
+                band_witness(pres, w.walk, lam, d) for d in (1, 2, 3, 4)
+                for lam in (Fraction(1), Fraction(-2), Fraction(1, 3))]
+            for v in variants:
+                if v.hl > 1:
+                    assert reduce_witness(pres, v).output.hl == v.hl - 1, v.literal()
+                    reductions += 1
+    assert reductions == 2449
+
+
+def test_band_witness_rejects_a_proper_power():
+    square_band = parse_walk(kron, "a , ~b , a , ~b")
+    assert square_band.kind == GBA
+    for build in (lambda: band_witness(kron, square_band),
+                  lambda: cohomology.band_sums(kron, square_band, 1),
+                  lambda: band_complex(kron, square_band, 1, 1),
+                  lambda: reduce_band(kron, square_band)):
+        with pytest.raises(PresentationError, match="band a , ~b , a , ~b is a proper power"):
+            build()
+    # the other rejections keep band_complex's wording
+    band = parse_walk(kron, "a , ~b")
+    for args, text in (((0, 1), "lambda must be nonzero"), ((1, 0), "d must be >= 1")):
+        with pytest.raises(PresentationError, match=text):
+            band_witness(kron, band, *args)
+    with pytest.raises(PresentationError, match="needs a generalized band"):
+        band_witness(kron, parse_walk(kron, "a"))
 
 
 def test_path_basis_is_built_once_per_presentation(monkeypatch):
