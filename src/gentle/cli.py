@@ -1,8 +1,10 @@
 """Command line front end: every operation with JSON output on stdout.
 
-Exit codes: 0 all checks pass, 1 input error, 2 a spectrum gap was found,
-3 an assertion of the built-in counterexample scan failed, or a reduction
-failed in ``spectrum --reduce-check``.
+Exit codes: 0 all checks pass, 1 input error (a usage error included:
+an unknown or missing argument, or ``--band`` together with ``--beta``,
+which exclude each other), 2 a spectrum gap was found, 3 an assertion of
+the built-in counterexample scan failed, or a reduction failed in
+``spectrum --reduce-check``.  Every error is a JSON object on stderr.
 """
 from __future__ import annotations
 
@@ -22,6 +24,18 @@ from .nogaps import (ReductionError, hl_spectrum, reduce_band, reduce_beta,
                      reduce_string, verify_counterexample_a0)
 
 _FRACTION = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+
+class UsageError(ValueError):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting 2, the code of a spectrum gap;
+    its subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _load(path):
@@ -171,7 +185,7 @@ def cmd_demo_a0(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gentle",
         description="string and band combinatorics for gentle algebra presentations")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -199,8 +213,9 @@ def build_parser():
 
     p = with_algebra(sub.add_parser("cohomology", help="cohomology dimension vector"))
     p.add_argument("--walk", required=True)
-    p.add_argument("--band", action="store_true")
-    p.add_argument("--beta", action="store_true", help="erase the lowest occupied degree")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--band", action="store_true")
+    kind.add_argument("--beta", action="store_true", help="erase the lowest occupied degree")
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--mult", type=int, default=1)
     p.set_defaults(func=cmd_cohomology)
@@ -214,8 +229,9 @@ def build_parser():
 
     p = with_algebra(sub.add_parser("reduce", help="construct a witness one length lower"))
     p.add_argument("--walk", required=True)
-    p.add_argument("--band", action="store_true")
-    p.add_argument("--beta", action="store_true")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--band", action="store_true")
+    kind.add_argument("--beta", action="store_true")
     p.add_argument("--negative", action="store_true", help="prefer the mirrored construction")
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--mult", type=int, default=1)
@@ -230,12 +246,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
-    except (PresentationError, NotComposable, ReductionError) as exc:
+    except (UsageError, PresentationError, NotComposable, ReductionError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

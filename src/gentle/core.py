@@ -112,6 +112,7 @@ class Presentation:
     _out: dict = field(default_factory=dict, repr=False)
     _in: dict = field(default_factory=dict, repr=False)
     _basis: tuple | None = field(default=None, repr=False, compare=False)
+    _extensions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._arrow_by_name = {a.name: a for a in self.arrows}
@@ -399,7 +400,15 @@ def compose(pres, p, q):
 
 
 def maximal_extension(pres, p):
-    """Maximal data of a nonzero path p of length >= 1."""
+    """Maximal data of a nonzero path p of length >= 1, computed once per
+    path and presentation."""
+    ext = pres._extensions.get(p)
+    if ext is None:
+        ext = pres._extensions[p] = _maximal_extension(pres, p)
+    return ext
+
+
+def _maximal_extension(pres, p):
     _require_validated(pres)
     if p.is_trivial():
         raise PresentationError("maximal_extension needs a path of length >= 1")

@@ -327,53 +327,78 @@ def _letter_graph(pres):
 
 def _prefixes(letters, edges, max_arrows):
     """Every letter sequence along the transition graph with arrow total
-    <= max_arrows, walked with an explicit stack."""
+    <= max_arrows, walked with an explicit stack.
+
+    Yields (key, back, mu, closed) on letter positions in ``letters``: the
+    walk's positions, those of its inverse walk, its degree profile, and
+    whether it closes into a band (mu returns to 0 and the last letter may
+    precede the first).  Each is extended by one letter per step, so no
+    prefix is rebuilt or classified again; the graph already checked every
+    junction.
+    """
     if max_arrows < 0:
         raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
-    stack = [((start,), start.length) for start in letters if start.length <= max_arrows]
+    position = {l: j for j, l in enumerate(letters)}
+    length = [l.length for l in letters]
+    step = [+1 if l.inverse else -1 for l in letters]
+    inv = [position[l.inverted()] for l in letters]
+    succ = [[position[m] for m in edges[l]] for l in letters]
+    follows = [set(s) for s in succ]
+    stack = [((j,), (inv[j],), length[j], (0, step[j]))
+             for j in range(len(letters)) if length[j] <= max_arrows]
     while stack:
-        prefix, used = stack.pop()
-        yield prefix
-        for nxt in edges[prefix[-1]]:
-            if used + nxt.length <= max_arrows:
-                stack.append((prefix + (nxt,), used + nxt.length))
+        key, back, used, mu = stack.pop()
+        yield key, back, mu, mu[-1] == 0 and key[0] in follows[key[-1]]
+        for j in succ[key[-1]]:
+            if used + length[j] <= max_arrows:
+                stack.append((key + (j,), (inv[j],) + back, used + length[j],
+                              mu + (mu[-1] + step[j],)))
 
 
-def _enumeration(found, letters, edges, max_arrows):
-    """The found walks in order; complete when the letter-transition graph
-    is acyclic and its longest walk fits the bound."""
+def _least_in_orbit(key, back):
+    """True when key is not above any rotation of itself or of back."""
+    return all(key <= w[k:] + w[:k] for w in (key, back) for k in range(len(key)))
+
+
+def _enumeration(letters, edges, max_arrows, keep):
+    """The prefixes that ``keep(key, back, closed)`` accepts, as walks in
+    sort-key order; complete when the letter-transition graph is acyclic
+    and its longest walk fits the bound.
+
+    Positions follow ``Letter.sort_key`` (the universe is sorted), so
+    comparing keys orders walks as ``GenWalk.sort_key`` does.
+    """
+    found = [(key, GenWalk(tuple(letters[j] for j in key), GBA if closed else GST, mu))
+             for key, back, mu, closed in _prefixes(letters, edges, max_arrows)
+             if keep(key, back, closed)]
+    found.sort(key=lambda item: item[0])
     longest = _longest_walk(letters, edges)
-    return Enumeration(tuple(sorted(found.values(), key=GenWalk.sort_key)),
+    return Enumeration(tuple(walk for _, walk in found),
                        longest is not None and longest <= max_arrows, max_arrows)
 
 
 def enumerate_gst(pres, max_arrows):
     """Every canonical generalized string with arrow total <= max_arrows.
 
-    The completeness flag is exact: it is set when the letter-transition
-    graph is acyclic and the longest possible walk fits the bound.
+    The transition graph is closed under inversion, so each {w, w^-1} is
+    reached once in each orientation and emitted once, in the orientation
+    that ``canonical_string`` picks.  The completeness flag is exact: it is
+    set when the letter-transition graph is acyclic and the longest
+    possible walk fits the bound.
     """
-    letters, edges = _letter_graph(pres)
-    found = {}
-    for prefix in _prefixes(letters, edges, max_arrows):
-        canon = canonical_string(pres, classify_walk(pres, prefix))
-        found.setdefault(canon.sort_key(), canon)
-    return _enumeration(found, letters, edges, max_arrows)
+    return _enumeration(*_letter_graph(pres), max_arrows,
+                        lambda key, back, closed: key <= back)
 
 
 def enumerate_gba(pres, max_arrows):
-    """Primitive canonical generalized bands with arrow total <= max_arrows."""
-    letters, edges = _letter_graph(pres)
-    found = {}
-    for prefix in _prefixes(letters, edges, max_arrows):
-        if (prefix[-1].target == prefix[0].source
-                and sum(+1 if l.inverse else -1 for l in prefix) == 0
-                and junction_reason(pres, prefix[-1], prefix[0]) is None):
-            walk = classify_walk(pres, prefix)
-            if walk.kind == GBA and is_primitive(walk):
-                canon = canonical_band(pres, walk)
-                found.setdefault(canon.sort_key(), canon)
-    return _enumeration(found, letters, edges, max_arrows)
+    """Primitive canonical generalized bands with arrow total <= max_arrows.
+
+    Every rotation of a band, and of its inverse, is itself a prefix, so
+    each orbit is emitted once, at the rotation ``canonical_band`` picks.
+    """
+    return _enumeration(*_letter_graph(pres), max_arrows,
+                        lambda key, back, closed: (closed and _period(key) == len(key)
+                                                   and _least_in_orbit(key, back)))
 
 
 def longest_walk_arrows(pres):

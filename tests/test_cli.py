@@ -6,6 +6,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from gentle.cli import main
 
 from corpus import random_gentle
@@ -160,11 +162,21 @@ def test_input_errors_exit_one(tmp_path, capsys):
                  ["enumerate", A0_FILE, "--max-arrows", "-1"],
                  ["complex", KR_FILE] + power,
                  ["cohomology", KR_FILE] + power,
-                 ["reduce", KR_FILE] + power):
+                 ["reduce", KR_FILE] + power,
+                 # usage errors: exit 2 would read as a spectrum gap
+                 ["spectrum", A0_FILE, "--max-arrows", "abc"],
+                 ["cohomology", A0_FILE],
+                 [],
+                 # --band and --beta exclude each other
+                 ["cohomology", KR_FILE, "--walk", "a , ~b", "--band", "--beta"],
+                 ["reduce", KR_FILE, "--walk", "a , ~b", "--band", "--beta"]):
         capsys.readouterr()
         code, out = run(argv)
         assert (code, out) == (1, ""), argv
         assert "error" in json.loads(capsys.readouterr().err), argv
+    with pytest.raises(SystemExit) as help_exit:
+        run(["--help"])
+    assert help_exit.value.code == 0
 
 
 def test_closed_pipe_exits_without_traceback(tmp_path):

@@ -418,6 +418,22 @@ def test_path_basis_is_built_once_per_presentation(monkeypatch):
     assert len(calls) == 1
 
 
+def test_maximal_extension_is_computed_once_per_path(monkeypatch):
+    from gentle import core
+    from corpus import random_gentle
+    pres = random_gentle(5)
+    calls = {}
+    real = core._maximal_extension
+
+    def counted(p, path):
+        calls[path] = calls.get(path, 0) + 1
+        return real(p, path)
+
+    monkeypatch.setattr(core, "_maximal_extension", counted)
+    witness_family(pres, 8)
+    assert calls and max(calls.values()) == 1
+
+
 # --- the built-in counterexample scan ---------------------------------------
 
 def test_a0_report_values():

@@ -9,9 +9,12 @@ from gentle import (GBA, GST, INVALID, Letter, PresentationError,
                     enumerate_gba, enumerate_gst, glue_bar, inverse_walk,
                     is_derived_discrete, is_string, longest_walk_arrows,
                     parse_walk, rotate_walk, truncate_first, truncate_last)
-from gentle.walks import transition_edges, is_primitive, mu_profile
+from gentle import walks
+from gentle.walks import (is_primitive, letter_universe, mu_profile,
+                          transition_edges)
 
-from corpus import A0, KRONECKER, RELATION_CYCLE, LINEAR_A5, full_corpus, load
+from corpus import (A0, KRONECKER, RELATION_CYCLE, LINEAR_A5, full_corpus, load,
+                    random_gentle)
 
 a0 = load(A0)
 kron = load(KRONECKER)
@@ -141,6 +144,61 @@ def test_enumerate_gba_long_walks_need_no_recursion():
         sys.setrecursionlimit(limit)
     assert [w.literal() for w in bands.walks] == ["a , ~b"]
     assert not bands.complete
+
+
+def _enumerate_by_classification(pres, max_arrows):
+    """The enumeration as first written: classify every prefix along the
+    transition graph from scratch, make it canonical and dedupe by sort key.
+    Returns (strings, bands, complete)."""
+    letters = letter_universe(pres)
+    edges = transition_edges(pres, letters)
+    strings, bands = {}, {}
+    stack = [((l,), l.length) for l in letters if l.length <= max_arrows]
+    while stack:
+        prefix, used = stack.pop()
+        walk = classify_walk(pres, prefix)
+        canon = canonical_string(pres, walk)
+        strings.setdefault(canon.sort_key(), canon)
+        if walk.kind == GBA and is_primitive(walk):
+            canon = canonical_band(pres, walk)
+            bands.setdefault(canon.sort_key(), canon)
+        for nxt in edges[prefix[-1]]:
+            if used + nxt.length <= max_arrows:
+                stack.append((prefix + (nxt,), used + nxt.length))
+    longest = longest_walk_arrows(pres)
+    return ([strings[k] for k in sorted(strings)], [bands[k] for k in sorted(bands)],
+            longest is not None and longest <= max_arrows)
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(lambda: [(p, b) for p in full_corpus() for b in range(7)], id="corpus-0..6"),
+    pytest.param(lambda: [(random_gentle(s), 5) for s in range(14, 100)], id="rnd14..99-5"),
+    pytest.param(lambda: [(random_gentle(5), 8)], id="rnd5-8"),
+    pytest.param(lambda: [(load(KRONECKER), 40)], id="kronecker-40"),
+])
+def test_enumeration_matches_classification_oracle(cases):
+    for pres, bound in cases():
+        strings, bands, complete = _enumerate_by_classification(pres, bound)
+        gst, gba = enumerate_gst(pres, bound), enumerate_gba(pres, bound)
+        assert list(gst.walks) == strings, (pres.name, bound)
+        assert list(gba.walks) == bands, (pres.name, bound)
+        assert gst.complete == gba.complete == complete, (pres.name, bound)
+
+
+def test_enumeration_classifies_nothing(monkeypatch):
+    def refuse(pres, letters):
+        raise AssertionError("enumeration classified a walk")
+
+    monkeypatch.setattr(walks, "classify_walk", refuse)
+    pres = random_gentle(5)
+    assert len(enumerate_gst(pres, 8).walks) == 3596
+    assert len(enumerate_gba(pres, 8).walks) == 18
+
+
+def test_kronecker_long_walks_enumerate_exactly():
+    # a quadratic enumerator takes tens of seconds here
+    assert len(enumerate_gst(kron, 1000).walks) == 2000
+    assert [w.literal() for w in enumerate_gba(kron, 1000).walks] == ["a , ~b"]
 
 
 def test_derived_discrete_decisions():
