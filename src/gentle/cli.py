@@ -5,10 +5,15 @@ an unknown or missing argument, or ``--band`` together with ``--beta``,
 which exclude each other), 2 a spectrum gap was found, 3 an assertion of
 the built-in counterexample scan failed, or a reduction failed in
 ``spectrum --reduce-check``.  Every error is a JSON object on stderr.
+
+The argument parser is built once per process, on first use
+(``build_parser`` is cached), so repeated in-process ``main`` calls pay
+only for their verb.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -42,7 +47,7 @@ def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PresentationError(f"cannot read {path}: {exc}") from exc
     pres = parse_presentation(text)
     report = validate_gentle(pres)
@@ -184,7 +189,11 @@ def cmd_demo_a0(args):
     return 0 if report["pass"] else 3
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use.  argparse keeps
+    no state between parse_args calls: each call fills a fresh Namespace
+    and tracks its own required and mutually exclusive arguments."""
     parser = _Parser(
         prog="gentle",
         description="string and band combinatorics for gentle algebra presentations")

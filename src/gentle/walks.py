@@ -531,26 +531,25 @@ def _cycle_with_sign(comp, edges, weight, want_nonpositive):
     """A cycle with weight <= 0 (resp. >= 0) inside one SCC, or None.
 
     Scaled Bellman-Ford: with W(e) = n*w(e) - 1 a negative W-cycle is
-    exactly a cycle of original weight <= 0 (cycle length <= n).
+    exactly a cycle of original weight <= 0 (cycle length <= n).  It runs
+    on the letters' positions in `comp` and stops at the first round that
+    relaxes nothing.
     """
     n = len(comp)
     sign = 1 if want_nonpositive else -1
-    scaled = {}
-    for u in comp:
-        for v in edges[u]:
-            scaled[(u, v)] = n * sign * weight[v] - 1
-    dist = dict.fromkeys(comp, 0)
-    pred = dict.fromkeys(comp, None)
-    x = None
+    pos = {l: i for i, l in enumerate(comp)}
+    scaled = [(pos[u], pos[v], n * sign * weight[v] - 1) for u in comp for v in edges[u]]
+    dist = [0] * n
+    pred = [None] * n
     for _ in range(n):
         x = None
-        for (u, v), w in scaled.items():
+        for u, v, w in scaled:
             if dist[u] + w < dist[v]:
                 dist[v] = dist[u] + w
                 pred[v] = u
                 x = v
-    if x is None:
-        return None
+        if x is None:
+            return None
     for _ in range(n):
         x = pred[x]
     cycle = [x]
@@ -559,7 +558,7 @@ def _cycle_with_sign(comp, edges, weight, want_nonpositive):
         cycle.append(v)
         v = pred[v]
     cycle.reverse()
-    return cycle
+    return [comp[i] for i in cycle]
 
 
 def _zero_weight_band(pres, edges, weight, neg_cycle, pos_cycle):

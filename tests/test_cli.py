@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from gentle import cli
 from gentle.cli import main
 
 from corpus import random_gentle
@@ -156,8 +157,11 @@ def test_input_errors_exit_one(tmp_path, capsys):
     assert code == 1
     empty = tmp_path / "empty.alg"
     empty.write_text("# declares nothing\n")
+    not_utf8 = tmp_path / "not_utf8.alg"
+    not_utf8.write_bytes(b"\xff\xfealgebra t\nvertices 1\n")
     power = ["--walk", "a , ~b , a , ~b", "--band"]
     for argv in (["validate", str(empty)],
+                 ["validate", str(not_utf8)],
                  ["spectrum", A0_FILE, "--max-arrows", "-1"],
                  ["enumerate", A0_FILE, "--max-arrows", "-1"],
                  ["complex", KR_FILE] + power,
@@ -177,6 +181,50 @@ def test_input_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as help_exit:
         run(["--help"])
     assert help_exit.value.code == 0
+
+
+def run_all(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_carries_nothing_between_calls(monkeypatch):
+    band = ["--walk", "a , ~b", "--band"]
+    calls = [["cohomology", KR_FILE] + band + ["--lambda", "1/2", "--mult", "3"],
+             ["cohomology", KR_FILE, "--walk", "a"],
+             ["reduce", A0_FILE, "--walk", "a1", "--negative"],
+             ["reduce", A0_FILE, "--walk", "a1"],
+             ["cohomology", A0_FILE, "--walk", "a1", "--beta"],
+             ["cohomology", A0_FILE, "--walk", "a1"],
+             ["cohomology", KR_FILE] + band + ["--beta"],
+             ["cohomology", KR_FILE] + band,
+             ["--help"],
+             ["--help"]]
+    forward = [run_all(argv) for argv in calls]
+    backward = [run_all(argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+    assert json.loads(forward[3][1])["direction"] != json.loads(forward[2][1])["direction"]
+    assert "usage: gentle" in forward[-1][1]
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    run_all(["discrete", KR_FILE])
+    built.clear()
+    for _ in range(10):
+        assert run_all(["discrete", KR_FILE])[0] == 0
+    assert built == []
 
 
 def test_closed_pipe_exits_without_traceback(tmp_path):

@@ -1,5 +1,9 @@
+import functools
+import hashlib
 import inspect
+import json
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +221,70 @@ def test_discreteness_cross_checked_against_enumeration():
             assert bands == ()
         else:
             assert classify_walk(pres, report.band.letters).kind == GBA
+
+
+@functools.cache
+def _discreteness_algebras():
+    """full_corpus() plus random_gentle(14..599)."""
+    return full_corpus() + [random_gentle(seed) for seed in range(14, 600)]
+
+
+def test_discreteness_output_is_pinned():
+    # the band-witness literals and component summaries, not only the verdict
+    algs = _discreteness_algebras()[:206]  # up to random_gentle(199)
+    report = json.dumps([[p.name, is_derived_discrete(p).to_json()] for p in algs])
+    assert len(algs) == 206
+    assert report.count('"derived_discrete": true') == 149
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "aa3dd1d53f0e71b64404e41bb3ed6425b11e21f8e7614f09e069bee1dd9ad2e2")
+
+
+def _vossieck_discrete(pres):
+    """Per connected component: a tree, or one cycle whose clockwise and
+    anticlockwise relation counts differ (Vossieck 2001;
+    Bobinski-Geiss-Skowronski 2004)."""
+    root = {v: v for v in pres.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a in pres.arrows:
+        root[find(a.source)] = find(a.target)
+    for comp in {find(v) for v in pres.vertices}:
+        arrows = [a for a in pres.arrows if find(a.source) == comp]
+        size = sum(1 for v in pres.vertices if find(v) == comp)
+        if len(arrows) == size - 1:
+            continue
+        if len(arrows) > size:
+            return False
+        # strip leaves until only the cycle's arrows are left
+        cycle = list(arrows)
+        while True:
+            degree = Counter(v for a in cycle for v in (a.source, a.target))
+            leaves = [a for a in cycle if 1 in (degree[a.source], degree[a.target])]
+            if not leaves:
+                break
+            cycle = [a for a in cycle if a not in leaves]
+        forward = {cycle[0].name: True}
+        at = cycle[0].target
+        while len(forward) < len(cycle):
+            nxt = next(a for a in cycle if a.name not in forward and at in (a.source, a.target))
+            forward[nxt.name] = nxt.source == at
+            at = nxt.target if forward[nxt.name] else nxt.source
+        clock = Counter(forward[a] for a, b in pres.relations
+                        if a in forward and b in forward)
+        if clock[True] == clock[False]:
+            return False
+    return True
+
+
+def test_discreteness_agrees_with_the_vossieck_oracle():
+    algs = _discreteness_algebras()
+    verdicts = [is_derived_discrete(pres).discrete for pres in algs]
+    assert verdicts == [_vossieck_discrete(pres) for pres in algs]
+    assert (len(algs), sum(verdicts)) == (606, 424)
 
 
 def test_truncate_first_examples():
