@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise PresentationError(f"cannot read {path}: {exc}") from exc

@@ -77,7 +77,7 @@ def cohomology_dims(pres, cx):
     ranks = {}
     for deg in degrees:
         matrix = differential_matrix(pres, cx, deg)
-        ranks[deg] = rank(matrix) if matrix else 0
+        ranks[deg] = rank(matrix)
     dims = {}
     for deg in degrees:
         h = total_dimension(pres, cx, deg) - ranks.get(deg, 0) - ranks.get(deg - 1, 0)

@@ -2,9 +2,11 @@
 
 Node j of a walk sits in degree mu(j) and contributes the projective at the
 node's vertex; each letter yields one differential entry, left multiplication
-by its underlying path.  Bands repeat every node d times and twist the
-closing letter by an upper triangular Jordan block with eigenvalue lambda.
-Scalars are exact rationals throughout.
+by its underlying path.  Strings and bands share one layout: a band's
+closing letter returns to node 0, every node is repeated d times, and the
+closing letter is twisted by an upper triangular Jordan block with
+eigenvalue lambda, written entry by entry.  Scalars are exact rationals
+throughout.
 """
 from __future__ import annotations
 
@@ -48,42 +50,49 @@ class ProjComplex:
         return not self.summands
 
 
-def _entries_for_walk(walk):
-    """(source node, target node, path) per letter; inverse letters map
-    forward along the walk, direct letters map backward."""
-    out = []
+def _walk_complex(pres, walk, nodes, lam, d, origin):
+    """Lay out ``nodes`` nodes of the walk, d copies each, in degree mu(j),
+    and write one entry per copy for each letter: inverse letters map
+    forward along the walk, direct letters backward.  A band's closing letter
+    returns to node 0 and carries lam on the diagonal and 1 on the
+    superdiagonal; every other letter carries the identity."""
+    mu = walk.mu
+    summands = {}
+    first = []
+    for j in range(nodes):
+        slot = summands.setdefault(mu[j], [])
+        first.append(len(slot))
+        vertex = walk.node_vertex(j)
+        for copy in range(d):
+            slot.append(Summand(vertex, j, copy))
+    one = Fraction(1)
+    diffs = {}
     for j, letter in enumerate(walk.letters, start=1):
-        if letter.inverse:
-            out.append((j - 1, j, letter.path))
-        else:
-            out.append((j, j - 1, letter.path))
-    return out
+        src, dst = (j - 1, j) if letter.inverse else (j, j - 1)
+        deg = mu[src]
+        assert mu[dst] == deg + 1
+        row0, col0 = first[src % nodes], first[dst % nodes]
+        closing = j == nodes
+        term = (letter.path, lam if closing else one)
+        entries = diffs.setdefault(deg, {})
+        for i in range(d):
+            key = (row0 + i, col0 + i)
+            entries[key] = entries.get(key, ()) + (term,)
+            if closing and i + 1 < d:
+                key = (row0 + i, col0 + i + 1)
+                entries[key] = entries.get(key, ()) + ((letter.path, one),)
+    cx = ProjComplex({deg: tuple(s) for deg, s in summands.items()}, diffs,
+                     origin=origin)
+    _assert_d_squared_zero(pres, cx)
+    return cx
 
 
 def string_complex(pres, walk):
     """The minimal complex of Definition-style string type for a GST walk."""
     if walk.kind not in (GST, GBA):
         raise PresentationError(f"string_complex needs a generalized string, got {walk.kind}")
-    n = walk.width
-    mu = walk.mu
-    summands = {}
-    position = {}
-    for j in range(n + 1):
-        deg = mu[j]
-        slot = summands.setdefault(deg, [])
-        position[j] = (deg, len(slot))
-        slot.append(Summand(walk.node_vertex(j), j))
-    diffs = {}
-    for src, dst, path in _entries_for_walk(walk):
-        deg, row = position[src]
-        _, col = position[dst]
-        assert mu[dst] == deg + 1
-        diffs.setdefault(deg, {})[(row, col)] = ((path, Fraction(1)),)
-    cx = ProjComplex({d: tuple(s) for d, s in summands.items()},
-                     {d: dict(m) for d, m in diffs.items()},
-                     origin=f"string:{walk.literal()}")
-    _assert_d_squared_zero(pres, cx)
-    return cx
+    return _walk_complex(pres, walk, walk.width + 1, None, 1,
+                         f"string:{walk.literal()}")
 
 
 def stalk_complex(pres, vertex):
@@ -91,17 +100,6 @@ def stalk_complex(pres, vertex):
     if vertex not in pres.vertices:
         raise PresentationError(f"unknown vertex {vertex!r}")
     return ProjComplex({0: (Summand(vertex, 0),)}, {}, origin=f"stalk:{vertex}")
-
-
-def jordan_block(lam, d):
-    """Upper triangular d x d Jordan block with eigenvalue lam."""
-    lam = Fraction(lam)
-    block = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        block[i][i] = lam
-        if i + 1 < d:
-            block[i][i + 1] = Fraction(1)
-    return block
 
 
 def mu_minimal_rotation(pres, walk):
@@ -135,48 +133,8 @@ def band_complex(pres, walk, lam, d):
     closing letter direct, and degree 0 carries no cohomology."""
     lam = check_band(walk, lam, d)
     walk = mu_minimal_rotation(pres, walk)
-    n = walk.width
-    mu = walk.mu
-    summands = {}
-    position = {}
-    for j in range(n):
-        deg = mu[j]
-        slot = summands.setdefault(deg, [])
-        position[j] = (deg, len(slot))
-        for copy in range(d):
-            slot.append(Summand(walk.node_vertex(j), j, copy))
-    identity = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    closing = jordan_block(lam, d)
-    diffs = {}
-
-    def add_block(src, dst, path, block):
-        deg, row0 = position[src]
-        _, col0 = position[dst]
-        assert mu[dst] == deg + 1 or (dst == 0 and mu[src] + 1 == mu[n])
-        slot = diffs.setdefault(deg, {})
-        for r in range(d):
-            for c in range(d):
-                if block[r][c] != 0:
-                    key = (row0 + r, col0 + c)
-                    terms = list(slot.get(key, ()))
-                    terms.append((path, block[r][c]))
-                    slot[key] = tuple(terms)
-
-    for j, letter in enumerate(walk.letters[:-1], start=1):
-        if letter.inverse:
-            add_block(j - 1, j, letter.path, identity)
-        else:
-            add_block(j, j - 1, letter.path, identity)
-    closing_letter = walk.letters[-1]
-    if closing_letter.inverse:
-        add_block(n - 1, 0, closing_letter.path, closing)
-    else:
-        add_block(0, n - 1, closing_letter.path, closing)
-    cx = ProjComplex({deg: tuple(s) for deg, s in summands.items()},
-                     {deg: dict(m) for deg, m in diffs.items()},
-                     origin=f"band:{walk.literal()}:lam={lam}:d={d}")
-    _assert_d_squared_zero(pres, cx)
-    return cx
+    return _walk_complex(pres, walk, walk.width, lam, d,
+                         f"band:{walk.literal()}:lam={lam}:d={d}")
 
 
 def shift(cx, k):

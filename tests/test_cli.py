@@ -105,6 +105,15 @@ def test_discrete_verb():
     assert payload["band_witness"] == "a , ~b"
 
 
+def test_byte_order_mark_is_accepted(tmp_path):
+    bom = tmp_path / "kronecker_bom.alg"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(KR_FILE).read_bytes())
+    for verb in ("validate", "discrete"):
+        plain = run([verb, KR_FILE])
+        assert plain[0] == 0
+        assert run([verb, str(bom)]) == plain
+
+
 def test_spectrum_verb_exit_codes():
     payload = run_json(["spectrum", A0_FILE, "--max-arrows", "10", "--reduce-check"])
     assert payload["gaps"] == []

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -191,3 +193,30 @@ def test_complex_json_shape():
     band = complex_to_json(kron, band_complex(kron, parse_walk(kron, "a , ~b"), Fraction(1, 2), 2))
     assert band["degrees"]["0"] == [["2", 2]]
     assert any(term[1] == "1/2" for entry in band["diffs"]["0"] for term in entry["terms"])
+
+
+COMPLEX_ROUTE_DIGEST = "a32c51353dd4da142a0b79fc25eff37fc5ce4bd57bc039769159cafe28ef4fdb"
+
+
+def test_complex_route_is_pinned():
+    # every corpus string at bound 6 and every band at three lambdas and
+    # d = 1..4: the built complex, its ranked cohomology and its origin
+    digest = hashlib.sha256()
+    count = 0
+
+    def feed(pres, cx):
+        nonlocal count
+        digest.update(json.dumps([complex_to_json(pres, cx),
+                                  cohomology_dims(pres, cx).to_json(),
+                                  cx.origin]).encode())
+        count += 1
+
+    for pres in full_corpus():
+        for walk in enumerate_gst(pres, 6).walks:
+            feed(pres, string_complex(pres, walk))
+        for band in enumerate_gba(pres, 6).walks:
+            for lam in (1, -2, Fraction(1, 3)):
+                for d in (1, 2, 3, 4):
+                    feed(pres, band_complex(pres, band, lam, d))
+    assert count == 1841
+    assert digest.hexdigest() == COMPLEX_ROUTE_DIGEST

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from gentle import (GBA, CohVector, PresentationError, ReductionError, cohomology,
-                    nogaps, band_complex, band_witness,
+                    nogaps, band_complex, band_sums, band_witness,
                     beta_cohomology, beta_witness, classify_walk,
                     cohomology_dims, enumerate_gba, enumerate_gst,
                     hl_spectrum, inverse_walk, longest_walk_arrows,
@@ -451,3 +452,14 @@ def test_a0_report_values():
     assert report["gl_hw"] == 2
     assert checks["gl_hw_equals_3"] is False
     assert report["pass"] is False
+
+
+def test_large_multiplicity_band_stays_fast():
+    # the time bound fails an elimination whose cost grows as d^3: at
+    # d = 400 a band differential has at most two nonzeros per row
+    band = parse_walk(kron, "a , ~b")
+    start = time.perf_counter()
+    dims = cohomology_dims(kron, band_complex(kron, band, Fraction(1, 2), 400))
+    assert dims == band_sums(kron, band, 400) == CohVector.from_dict({1: 800})
+    assert reduce_band(kron, band, Fraction(1, 2), 400).output.hl == 799
+    assert time.perf_counter() - start < 1
