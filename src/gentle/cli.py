@@ -2,9 +2,11 @@
 
 Exit codes: 0 all checks pass, 1 input error (a usage error included:
 an unknown or missing argument, or ``--band`` together with ``--beta``,
-which exclude each other), 2 a spectrum gap was found, 3 an assertion of
-the built-in counterexample scan failed, or a reduction failed in
-``spectrum --reduce-check``.  Every error is a JSON object on stderr.
+which exclude each other), 2 a complete spectrum scan found a gap, 3 an
+assertion of the built-in counterexample scan failed, or a reduction failed
+in ``spectrum --reduce-check``.  On an incomplete scan ``gaps`` lists the
+lengths below the top that the bounded scan did not reach, and the exit is
+0.  Every error is a JSON object on stderr.
 
 The argument parser is built once per process, on first use
 (``build_parser`` is cached), so repeated in-process ``main`` calls pay
@@ -43,22 +45,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load(path):
+def _read(path):
+    """The presentation in ``path`` and its validation report."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise PresentationError(f"cannot read {path}: {exc}") from exc
     pres = parse_presentation(text)
-    report = validate_gentle(pres)
-    return pres, report
+    return pres, validate_gentle(pres)
 
 
-def _require_valid(pres, report):
+def _load(path):
+    """The presentation in ``path``, which must be gentle."""
+    pres, report = _read(path)
     if not report.ok:
         raise PresentationError(
             f"presentation {pres.name!r} is not gentle: "
             + "; ".join(v.message for v in report.violations))
+    return pres
+
+
+def _walk(pres, args):
+    """The ``--walk`` argument: a generalized band under ``--band``, a
+    generalized string otherwise."""
+    walk = parse_walk(pres, args.walk)
+    if args.band:
+        if walk.kind != GBA:
+            raise PresentationError(f"walk {args.walk!r} is not a band: {walk.reason or walk.kind}")
+    elif walk.kind not in (GST, GBA):
+        raise PresentationError(f"walk {args.walk!r} is not a generalized string: {walk.reason}")
+    return walk
 
 
 def _parse_lambda(text):
@@ -77,14 +94,13 @@ def _emit(payload):
 
 
 def cmd_validate(args):
-    pres, report = _load(args.algebra)
+    pres, report = _read(args.algebra)
     _emit({"algebra": pres.name, **report.to_json()})
     return 0 if report.ok else 1
 
 
 def cmd_basis(args):
-    pres, report = _load(args.algebra)
-    _require_valid(pres, report)
+    pres = _load(args.algebra)
     basis = path_basis(pres)
     _emit({
         "algebra": pres.name,
@@ -96,8 +112,7 @@ def cmd_basis(args):
 
 
 def cmd_enumerate(args):
-    pres, report = _load(args.algebra)
-    _require_valid(pres, report)
+    pres = _load(args.algebra)
     strings = enumerate_gst(pres, args.max_arrows)
     payload = {
         "algebra": pres.name,
@@ -113,58 +128,40 @@ def cmd_enumerate(args):
 
 
 def cmd_complex(args):
-    pres, report = _load(args.algebra)
-    _require_valid(pres, report)
-    walk = parse_walk(pres, args.walk)
-    if args.band:
-        if walk.kind != GBA:
-            raise PresentationError(f"walk {args.walk!r} is not a band: {walk.reason or walk.kind}")
-        cx = band_complex(pres, walk, _parse_lambda(args.lam), args.mult)
-    else:
-        if walk.kind not in (GST, GBA):
-            raise PresentationError(f"walk {args.walk!r} is not a generalized string: {walk.reason}")
-        cx = string_complex(pres, walk)
+    pres = _load(args.algebra)
+    walk = _walk(pres, args)
+    cx = (band_complex(pres, walk, _parse_lambda(args.lam), args.mult) if args.band
+          else string_complex(pres, walk))
     _emit({"algebra": pres.name, "walk": walk.literal(), **complex_to_json(pres, cx)})
     return 0
 
 
 def cmd_cohomology(args):
-    pres, report = _load(args.algebra)
-    _require_valid(pres, report)
-    walk = parse_walk(pres, args.walk)
+    pres = _load(args.algebra)
+    walk = _walk(pres, args)
     if args.band:
-        if walk.kind != GBA:
-            raise PresentationError(f"walk {args.walk!r} is not a band: {walk.reason or walk.kind}")
         vec = cohomology_dims(pres, band_complex(pres, walk, _parse_lambda(args.lam), args.mult))
     elif args.beta:
-        if walk.kind not in (GST, GBA):
-            raise PresentationError(f"walk {args.walk!r} is not a generalized string: {walk.reason}")
         vec = beta_cohomology(pres, walk)
     else:
-        if walk.kind not in (GST, GBA):
-            raise PresentationError(f"walk {args.walk!r} is not a generalized string: {walk.reason}")
         vec = cohomology_dims(pres, string_complex(pres, walk))
     _emit(vec.to_json())
     return 0
 
 
 def cmd_spectrum(args):
-    pres, report = _load(args.algebra)
-    _require_valid(pres, report)
+    pres = _load(args.algebra)
     result = hl_spectrum(pres, args.max_arrows, include_bands=not args.no_bands,
                          reduce_check=args.reduce_check)
     _emit({"algebra": pres.name, **result.to_json()})
     if result.failures:
         return 3
-    if result.gaps:
-        return 2
-    return 0
+    return 2 if result.gaps and result.complete else 0
 
 
 def cmd_reduce(args):
-    pres, report = _load(args.algebra)
-    _require_valid(pres, report)
-    walk = parse_walk(pres, args.walk)
+    pres = _load(args.algebra)
+    walk = _walk(pres, args)
     if args.band:
         trace = reduce_band(pres, walk, _parse_lambda(args.lam), args.mult,
                             negative=args.negative)
@@ -177,8 +174,7 @@ def cmd_reduce(args):
 
 
 def cmd_discrete(args):
-    pres, report = _load(args.algebra)
-    _require_valid(pres, report)
+    pres = _load(args.algebra)
     _emit({"algebra": pres.name, **is_derived_discrete(pres).to_json()})
     return 0
 

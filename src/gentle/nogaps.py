@@ -8,6 +8,11 @@ Witness vectors are read off the walk in closed form, candidate surgeries
 included.  The exact rank computation stays the independent oracle: it
 checks the one surgery that lands before it is returned, and a surgery that
 misses l - 1 is never returned.
+
+The surgeries form one lazy stream of plans: the local plans at each target
+node, then cuts at the interior nodes, then stalks, then one round on the
+near misses.  A plan is built only when the search reaches it, so the search
+stops building at the first plan that lands.
 """
 from __future__ import annotations
 
@@ -117,14 +122,6 @@ class ReductionTrace:
 # target selection
 
 
-def _degree_masses(pres, walk):
-    contribs = node_contributions(pres, walk)
-    masses = {}
-    for j, (deg, c) in contribs.items():
-        masses[deg] = masses.get(deg, 0) + c
-    return contribs, masses
-
-
 def _positive_candidates(pres, walk, mask_degree=None):
     """First nonzero summand of each realizing degree, farthest first.
 
@@ -134,7 +131,10 @@ def _positive_candidates(pres, walk, mask_degree=None):
     ``mask_degree`` drops one degree from the reading (the beta-erased
     bottom of a resolution witness).
     """
-    contribs, masses = _degree_masses(pres, walk)
+    contribs = node_contributions(pres, walk)
+    masses = {}
+    for deg, c in contribs.values():
+        masses[deg] = masses.get(deg, 0) + c
     top = max((m for d, m in masses.items() if d != mask_degree), default=0)
     firsts = []
     others = []
@@ -228,15 +228,14 @@ def _glued(pres, side, tag, target, steps, what, path, rest):
 def _prepend_plans(pres, side, tag, target, steps, rest):
     """Variants of an exposed start: bare, or with the glue chain that
     eliminates an inverse first letter."""
-    plans = [_plan(tag, target, steps + [f"exposed {side.start} kept bare"],
-                   "string", side.frame(rest))]
+    yield _plan(tag, target, steps + [f"exposed {side.start} kept bare"],
+                "string", side.frame(rest))
     g = pres.relation_continuation(rest[0].path.arrows[-1]) if rest[0].inverse else None
     if g is not None:
         chain, beta, note = _chain(pres, _arrow_path(pres, g), rest)
-        plans.append(_plan(tag, target,
-                           steps + [f"{side.left} glue chain of {len(chain)} letters ({note})"],
-                           "beta" if beta else "string", side.frame(chain + rest)))
-    return plans
+        yield _plan(tag, target,
+                    steps + [f"{side.left} glue chain of {len(chain)} letters ({note})"],
+                    "beta" if beta else "string", side.frame(chain + rest))
 
 
 def _shorten_letter(pres, letter, drop):
@@ -268,30 +267,28 @@ def _end_plans(pres, side, letters, q, one_sided):
     back.  Only the end side also jumps to a truncated maximal path."""
     first = letters[0]
     tag = "ONE_SIDED_i0" if one_sided else "GENERAL_Q"
-    plans = []
     if not first.inverse:
         ext = maximal_extension(pres, first.path)
         if ext.check is not None:
-            plans.append(_glued(pres, side, tag, q, [],
-                                f"the other maximal path {ext.check.label()}",
-                                ext.check, letters))
+            yield _glued(pres, side, tag, q, [],
+                         f"the other maximal path {ext.check.label()}", ext.check, letters)
         if first.length >= 2:
             rest = (_shorten_letter(pres, first, 1),) + letters[1:]
             steps = [f"truncate {side.first} arrow of the {side.first} letter"]
             other = _other_arrow(pres, rest[0])
             if other is not None:
-                plans.append(_glued(pres, side, tag, q, steps, f"arrow {other}",
-                                    _arrow_path(pres, other), rest))
-            plans.append(_plan(tag, q, steps + [f"no second arrow at the new {side.start}"],
-                               "string", side.frame(rest)))
+                yield _glued(pres, side, tag, q, steps, f"arrow {other}",
+                             _arrow_path(pres, other), rest)
+            yield _plan(tag, q, steps + [f"no second arrow at the new {side.start}"],
+                        "string", side.frame(rest))
         elif len(letters) > 1:
-            plans.extend(_prepend_plans(pres, side, tag, q,
-                                        [f"drop the single-arrow {side.first} letter"],
-                                        letters[1:]))
-        return plans
+            yield from _prepend_plans(pres, side, tag, q,
+                                      [f"drop the single-arrow {side.first} letter"],
+                                      letters[1:])
+        return
     g = pres.relation_continuation(first.path.arrows[-1])
     if g is None:
-        return plans
+        return
     tilde = maximal_extension(pres, _arrow_path(pres, g)).tilde
     if side is _END:
         tag = "ONE_SIDED_END" if one_sided else "GENERAL_Q"
@@ -300,30 +297,29 @@ def _end_plans(pres, side, letters, q, one_sided):
             jump = f"jump to the truncated maximal path {tilde.label()}"
             other = _other_arrow(pres, head)
             if other is not None:
-                plans.append(_plan(tag, q, [jump, f"prepend inverted arrow {other}", "beta"],
-                                   "beta", (Letter(_arrow_path(pres, other), True), head)))
-            plans.append(_plan(tag, q, [jump, "beta"], "beta", (head,)))
-    plans.append(_glued(pres, side, tag, q, [], f"the maximal path {tilde.label()}",
-                        tilde, letters))
-    return plans
+                yield _plan(tag, q, [jump, f"prepend inverted arrow {other}", "beta"],
+                            "beta", (Letter(_arrow_path(pres, other), True), head))
+            yield _plan(tag, q, [jump, "beta"], "beta", (head,))
+    yield _glued(pres, side, tag, q, [], f"the maximal path {tilde.label()}", tilde, letters)
 
 
 def _local_plans(pres, walk, q):
-    """Local surgeries reducing the contribution at node q by one.
+    """Local surgeries reducing the contribution at node q by one.  They
+    head the plan stream, before the cuts, the stalks and the round on near
+    misses, and each is built only when the search reaches it.
 
-    Every plan is later evaluated in closed form; plans for
-    the degenerate corners (a governing letter fully consumed) are emitted
-    in several glue variants and the check keeps whichever lands.
+    Every plan is evaluated in closed form; plans for the degenerate
+    corners (a governing letter fully consumed) are yielded in several glue
+    variants and the check keeps the first that lands.
     """
     letters = walk.letters
     n = walk.width
     one_sided = _one_sided(walk)
-    if q == 0:
-        return _end_plans(pres, _START, letters, q, one_sided)
-    if q == n:
-        return _end_plans(pres, _END, _flip(letters), q, one_sided)
+    if q in (0, n):
+        side, ends = (_START, letters) if q == 0 else (_END, _flip(letters))
+        yield from _end_plans(pres, side, ends, q, one_sided)
+        return
     before, after = letters[q - 1], letters[q]
-    plans = []
     if not before.inverse and not after.inverse:
         tag = "ONE_SIDED_MID" if one_sided else "GENERAL_Q"
         if after.length >= 3:
@@ -331,37 +327,36 @@ def _local_plans(pres, walk, q):
             steps = [f"truncate two arrows of letter {q + 1}", "discard the prefix"]
             other = _other_arrow(pres, rest[0])
             if other is not None:
-                plans.append(_glued(pres, _START, tag, q, steps, f"arrow {other}",
-                                    _arrow_path(pres, other), rest))
-            plans.append(_plan(tag, q, steps, "string", rest))
+                yield _glued(pres, _START, tag, q, steps, f"arrow {other}",
+                             _arrow_path(pres, other), rest)
+            yield _plan(tag, q, steps, "string", rest)
         elif after.length == 2 and q + 1 <= n - 1:
-            plans.extend(_prepend_plans(pres, _START, tag, q,
-                                        [f"consume letter {q + 1}", "discard the prefix"],
-                                        letters[q + 1:]))
+            yield from _prepend_plans(pres, _START, tag, q,
+                                      [f"consume letter {q + 1}", "discard the prefix"],
+                                      letters[q + 1:])
         # negative-style fallback handled by the mirrored direction
     elif before.inverse:
         turn = not after.inverse
         tag = "BACKWARD_TURN" if turn else "ONE_SIDED_MID" if one_sided else "GENERAL_Q"
         if before.length >= 2:
             rest = (_shorten_letter(pres, before, 1),) + letters[q:]
-            plans.extend(_prepend_plans(pres, _START, tag, q,
-                                        [f"truncate one arrow of letter {q}", "discard the prefix"],
-                                        rest))
+            yield from _prepend_plans(pres, _START, tag, q,
+                                      [f"truncate one arrow of letter {q}", "discard the prefix"],
+                                      rest)
         else:
             rest = letters[q:]
-            plans.extend(_prepend_plans(pres, _START, tag, q,
-                                        [f"consume letter {q}", "discard the prefix"], rest))
+            yield from _prepend_plans(pres, _START, tag, q,
+                                      [f"consume letter {q}", "discard the prefix"], rest)
             check = maximal_extension(pres, before.path).check if turn else None
             if check is not None:
-                plans.append(_glued(pres, _START, tag, q, [f"consume letter {q}"],
-                                    check.label(), check, rest))
+                yield _glued(pres, _START, tag, q, [f"consume letter {q}"],
+                             check.label(), check, rest)
         if turn and after.length >= 2:
             rest = (_shorten_letter(pres, after.inverted(), 1),) + _flip(letters[:q])
-            plans.extend(_prepend_plans(pres, _END, tag, q,
-                                        [f"truncate one arrow of letter {q + 1}",
-                                         "discard the suffix"], rest))
+            yield from _prepend_plans(pres, _END, tag, q,
+                                      [f"truncate one arrow of letter {q + 1}",
+                                       "discard the suffix"], rest)
     # forward turning points contribute nothing and are never targets
-    return plans
 
 
 def _cut_plans(pres, walk):
@@ -375,7 +370,6 @@ def _cut_plans(pres, walk):
     fturns = [f for f in range(1, walk.width)
               if not letters[f - 1].inverse and letters[f].inverse]
     rest = [f for f in range(1, walk.width) if f not in fturns]
-    plans = []
     for f in fturns + rest:
         where = "forward turn" if f in fturns else "node"
         for side, piece in ((_START, letters[f:]), (_END, _flip(letters[:f]))):
@@ -387,10 +381,9 @@ def _cut_plans(pres, walk):
                         continue
                     exposed = (head,) + piece[1:]
                 trim = f" and truncate {k} arrows" if k else ""
-                plans.extend(_prepend_plans(pres, side, "GENERAL_Q", f,
-                                            [f"cut at {where} {f}, keep the {side.kept}{trim}"],
-                                            exposed))
-    return plans
+                yield from _prepend_plans(pres, side, "GENERAL_Q", f,
+                                          [f"cut at {where} {f}, keep the {side.kept}{trim}"],
+                                          exposed)
 
 
 def _stalk_plans(pres, walk, contribs, masses, top):
@@ -399,31 +392,18 @@ def _stalk_plans(pres, walk, contribs, masses, top):
     Needed where a forward turn shares one unit between both neighbours:
     no letter surgery then reaches l - 1, but one projective of the top
     degree can (its stalk is the complex cut down to that summand)."""
-    preferred = []
-    seen = set()
-    for j, (deg, c) in sorted(contribs.items()):
-        if c > 0 and masses[deg] == top:
-            v = walk.node_vertex(j)
-            if v not in seen:
-                seen.add(v)
-                preferred.append(v)
-    for v in pres.vertices:
-        if v not in seen:
-            seen.add(v)
-            preferred.append(v)
-    return [_plan("GENERAL_Q", 0,
-                  [f"brutal truncation to the projective at {v}"], "stalk", (v,))
-            for v in preferred]
+    top_vertices = [walk.node_vertex(j) for j, (deg, c) in sorted(contribs.items())
+                    if c > 0 and masses[deg] == top]
+    for v in dict.fromkeys([*top_vertices, *pres.vertices]):
+        yield _plan("GENERAL_Q", 0, [f"brutal truncation to the projective at {v}"], "stalk", (v,))
 
 
 def _candidate_plans(pres, walk, mask_degree=None):
     ordered, contribs, masses, top = _positive_candidates(pres, walk, mask_degree)
-    plans = []
     for q in ordered:
-        plans.extend(_local_plans(pres, walk, q))
-    plans.extend(_cut_plans(pres, walk))
-    plans.extend(_stalk_plans(pres, walk, contribs, masses, top))
-    return plans
+        yield from _local_plans(pres, walk, q)
+    yield from _cut_plans(pres, walk)
+    yield from _stalk_plans(pres, walk, contribs, masses, top)
 
 
 def _plan_witnesses(pres, plan):
@@ -466,10 +446,13 @@ def _verified(pres, trace):
 def _run_plans(pres, target_hl, plans, direction, input_witness):
     """First plan whose output has exactly the target length, verified.
 
-    When no single surgery lands, surgeries that leave the length unchanged
-    (typically a glue that levels a second realizing degree) are expanded
-    one more round; the composed trace lists both stages.  A proposed walk
-    is evaluated once: a repeat cannot land where its first proposal missed."""
+    ``plans`` is the lazy stream of ``_candidate_plans``: local plans at each
+    target node, then cuts, then stalks, each built only when it is reached.
+    When none lands, surgeries that leave the length unchanged (typically a
+    glue that levels a second realizing degree) are expanded one more round,
+    on at most 25 near misses; the composed trace lists both stages.  A
+    proposed walk is evaluated once: a repeat cannot land where its first
+    proposal missed."""
     evaluated = set()
     intermediates = []
 

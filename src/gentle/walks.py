@@ -13,8 +13,6 @@ from .core import Path, PresentationError
 
 GST = "GST"
 GBA = "GBA"
-STRING = "STRING"
-WALK = "WALK"
 INVALID = "INVALID"
 
 

@@ -122,6 +122,14 @@ def test_spectrum_verb_exit_codes():
     assert payload["reduction_failures"] == []
 
 
+def test_incomplete_spectrum_scan_exits_zero():
+    # below the top of a bounded scan a gap is a length the scan did not
+    # reach, not a counterexample: exit 2 needs a complete scan
+    for path in (A0_FILE, KR_FILE):
+        payload = run_json(["spectrum", path, "--max-arrows", "0"])
+        assert payload["complete"] is False and payload["gaps"], path
+
+
 def test_reduce_verb():
     payload = run_json(["reduce", A0_FILE, "--walk", "a1"])
     assert payload["input"]["cohomology"]["hl"] == 4
@@ -176,6 +184,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
                  ["complex", KR_FILE] + power,
                  ["cohomology", KR_FILE] + power,
                  ["reduce", KR_FILE] + power,
+                 ["reduce", A0_FILE, "--walk", "a1 , a2"],
                  # usage errors: exit 2 would read as a spectrum gap
                  ["spectrum", A0_FILE, "--max-arrows", "abc"],
                  ["cohomology", A0_FILE],
@@ -186,7 +195,9 @@ def test_input_errors_exit_one(tmp_path, capsys):
         capsys.readouterr()
         code, out = run(argv)
         assert (code, out) == (1, ""), argv
-        assert "error" in json.loads(capsys.readouterr().err), argv
+        error = json.loads(capsys.readouterr().err)["error"]
+        if "a1 , a2" in argv:
+            assert "junction 0" in error, argv
     with pytest.raises(SystemExit) as help_exit:
         run(["--help"])
     assert help_exit.value.code == 0

@@ -372,6 +372,26 @@ def test_reduction_search_evaluates_each_walk_once(monkeypatch):
     assert reductions >= 200
 
 
+def test_reduction_builds_only_the_plans_it_evaluates(monkeypatch):
+    # the plans are a lazy stream: a reduction that lands early builds no
+    # plan past the one that lands and never reaches the cut sweep
+    counts = {}
+
+    def count(name):
+        real = getattr(nogaps, name)
+        monkeypatch.setattr(nogaps, name, lambda *args: counts.update(
+            {name: counts.get(name, 0) + 1}) or real(*args))
+
+    for name in ("_plan", "_plan_witnesses", "_cut_plans"):
+        count(name)
+    for literal, plans in (("a1", 1), ("a1 , a3.a4.a5.a6", 1), ("a2", 1),
+                           ("~a2 , a3.a4.a5.a6", 3)):
+        counts.clear()
+        trace = reduce_string(a0, parse_walk(a0, literal))
+        assert trace.output.hl == trace.input.hl - 1
+        assert counts == {"_plan": plans, "_plan_witnesses": plans}, literal
+
+
 def test_every_corpus_witness_reduces():
     # every witness with hl > 1 at bound 6, bands at d = 1..4 and three
     # lambdas, lands on exactly l - 1
