@@ -2,20 +2,20 @@
 
 from .core import (Arrow, GentleReport, MaximalExtension, NotComposable, Path,
                    Presentation, PresentationError, compose, dim_projective,
-                   maximal_extension, parse_presentation, path_basis,
-                   validate_gentle)
+                   maximal_extension, maximal_path, parse_presentation,
+                   path_basis, validate_gentle)
 from .walks import (GBA, GST, INVALID, BarDescriptor, Enumeration, GenWalk,
                     Letter, canonical_band, canonical_string, classify_walk,
                     enumerate_gba, enumerate_gst, glue_bar, inverse_walk,
                     is_derived_discrete, is_string, longest_walk_arrows,
-                    parse_walk, rotate_walk, truncate_first, truncate_last)
+                    parse_walk, rotate_walk, shorten_letter, truncate_first,
+                    truncate_last)
 from .complexes import (ProjComplex, Summand, band_complex, brutal_truncate,
                         check_minimal, complex_to_json, differential_matrix,
                         shift, stalk_complex, string_complex)
 from .cohomology import (CohVector, band_sums, beta_cohomology, beta_window,
-                         cohomology_dims, hl, hw, hr, node_contributions,
-                         node_sums)
-from .nogaps import (A0_SOURCE, KRONECKER_SOURCE, ReductionError,
+                         cohomology_dims, node_contributions, node_sums)
+from .nogaps import (A0_SOURCE, ReductionError,
                      ReductionTrace, SpectrumReport, Witness, band_witness,
                      beta_witness, hl_spectrum, load_builtin, reduce_band,
                      reduce_beta, reduce_stalk, reduce_string, reduce_witness,

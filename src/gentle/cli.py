@@ -1,8 +1,9 @@
 """Command line front end: every operation with JSON output on stdout.
 
 Exit codes: 0 all checks pass, 1 input error (a usage error included:
-an unknown or missing argument, or ``--band`` together with ``--beta``,
-which exclude each other), 2 a complete spectrum scan found a gap, 3 an
+an unknown or missing argument, ``--band`` together with ``--beta``,
+which exclude each other, or ``--lambda`` or ``--mult`` without
+``--band``), 2 a complete spectrum scan found a gap, 3 an
 assertion of the built-in counterexample scan failed, or a reduction failed
 in ``spectrum --reduce-check``.  On an incomplete scan ``gaps`` lists the
 lengths below the top that the bounded scan did not reach, and the exit is
@@ -69,6 +70,8 @@ def _load(path):
 def _walk(pres, args):
     """The ``--walk`` argument: a generalized band under ``--band``, a
     generalized string otherwise."""
+    if not args.band and (args.lam is not None or args.mult is not None):
+        raise UsageError("--lambda and --mult need --band")
     walk = parse_walk(pres, args.walk)
     if args.band:
         if walk.kind != GBA:
@@ -76,6 +79,12 @@ def _walk(pres, args):
     elif walk.kind not in (GST, GBA):
         raise PresentationError(f"walk {args.walk!r} is not a generalized string: {walk.reason}")
     return walk
+
+
+def _band_parameters(args):
+    """(lambda, d) of a ``--band`` call; each is 1 unless given."""
+    return (_parse_lambda("1" if args.lam is None else args.lam),
+            1 if args.mult is None else args.mult)
 
 
 def _parse_lambda(text):
@@ -130,7 +139,7 @@ def cmd_enumerate(args):
 def cmd_complex(args):
     pres = _load(args.algebra)
     walk = _walk(pres, args)
-    cx = (band_complex(pres, walk, _parse_lambda(args.lam), args.mult) if args.band
+    cx = (band_complex(pres, walk, *_band_parameters(args)) if args.band
           else string_complex(pres, walk))
     _emit({"algebra": pres.name, "walk": walk.literal(), **complex_to_json(pres, cx)})
     return 0
@@ -140,7 +149,7 @@ def cmd_cohomology(args):
     pres = _load(args.algebra)
     walk = _walk(pres, args)
     if args.band:
-        vec = cohomology_dims(pres, band_complex(pres, walk, _parse_lambda(args.lam), args.mult))
+        vec = cohomology_dims(pres, band_complex(pres, walk, *_band_parameters(args)))
     elif args.beta:
         vec = beta_cohomology(pres, walk)
     else:
@@ -163,8 +172,7 @@ def cmd_reduce(args):
     pres = _load(args.algebra)
     walk = _walk(pres, args)
     if args.band:
-        trace = reduce_band(pres, walk, _parse_lambda(args.lam), args.mult,
-                            negative=args.negative)
+        trace = reduce_band(pres, walk, *_band_parameters(args), negative=args.negative)
     elif args.beta:
         trace = reduce_beta(pres, walk, negative=args.negative)
     else:
@@ -212,8 +220,8 @@ def build_parser():
     p = with_algebra(sub.add_parser("complex", help="projective complex of a walk"))
     p.add_argument("--walk", required=True, help="walk literal, e.g. 'a1 , ~a2.a3'")
     p.add_argument("--band", action="store_true")
-    p.add_argument("--lambda", dest="lam", default="1", help="band parameter (exact fraction)")
-    p.add_argument("--mult", type=int, default=1, help="band multiplicity d")
+    p.add_argument("--lambda", dest="lam", help="band parameter (exact fraction)")
+    p.add_argument("--mult", type=int, help="band multiplicity d")
     p.set_defaults(func=cmd_complex)
 
     p = with_algebra(sub.add_parser("cohomology", help="cohomology dimension vector"))
@@ -221,8 +229,8 @@ def build_parser():
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--band", action="store_true")
     kind.add_argument("--beta", action="store_true", help="erase the lowest occupied degree")
-    p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--mult", type=int, default=1)
+    p.add_argument("--lambda", dest="lam")
+    p.add_argument("--mult", type=int)
     p.set_defaults(func=cmd_cohomology)
 
     p = with_algebra(sub.add_parser("spectrum", help="achieved cohomological lengths"))
@@ -238,8 +246,8 @@ def build_parser():
     kind.add_argument("--band", action="store_true")
     kind.add_argument("--beta", action="store_true")
     p.add_argument("--negative", action="store_true", help="prefer the mirrored construction")
-    p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--mult", type=int, default=1)
+    p.add_argument("--lambda", dest="lam")
+    p.add_argument("--mult", type=int)
     p.set_defaults(func=cmd_reduce)
 
     with_algebra(sub.add_parser("discrete", help="decide derived discreteness")) \

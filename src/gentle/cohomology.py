@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Path, PresentationError, maximal_extension
+from .core import PresentationError, maximal_extension
 from .exact import rank
 from .walks import GST, GBA, classify_walk, glue_bar
 from .complexes import (check_band, differential_matrix, mu_minimal_rotation,
@@ -57,18 +57,6 @@ class CohVector:
             "hw": self.hw,
             "hr": self.hr,
         }
-
-
-def hl(vector):
-    return vector.hl
-
-
-def hw(vector):
-    return vector.hw
-
-
-def hr(vector):
-    return vector.hr
 
 
 def cohomology_dims(pres, cx):
@@ -145,8 +133,7 @@ def _kernel_count(pres, path):
     g = pres.relation_continuation(path.arrows[-1])
     if g is None:
         return 0
-    arrow = pres.arrow(g)
-    return maximal_extension(pres, Path(arrow.source, arrow.target, (g,))).tilde.length
+    return maximal_extension(pres, pres.arrow_path(g)).tilde.length
 
 
 def node_sums(pres, walk):
@@ -194,13 +181,11 @@ def beta_extension_chains(pres, walk):
     if mu[0] == bottom and first.inverse:
         g = pres.relation_continuation(first.path.arrows[-1])
         if g is not None:
-            arrow = pres.arrow(g)
-            left = glue_bar(pres, Path(arrow.source, arrow.target, (g,)))
+            left = glue_bar(pres, pres.arrow_path(g))
     if mu[-1] == bottom and not last.inverse:
         g = pres.relation_continuation(last.path.arrows[-1])
         if g is not None:
-            arrow = pres.arrow(g)
-            right = glue_bar(pres, Path(arrow.source, arrow.target, (g,)))
+            right = glue_bar(pres, pres.arrow_path(g))
     return left, right
 
 

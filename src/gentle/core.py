@@ -111,6 +111,8 @@ class Presentation:
     _arrow_by_name: dict = field(default_factory=dict, repr=False)
     _out: dict = field(default_factory=dict, repr=False)
     _in: dict = field(default_factory=dict, repr=False)
+    _relation_next: dict = field(default_factory=dict, repr=False)
+    _free_next: dict = field(default_factory=dict, repr=False)
     _basis: tuple | None = field(default=None, repr=False, compare=False)
     _extensions: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -121,6 +123,15 @@ class Presentation:
         for a in self.arrows:
             self._out[a.source].append(a)
             self._in[a.target].append(a)
+        # The first hit in out-arrow order; gentleness makes it the only one.
+        self._relation_next = dict.fromkeys(self._arrow_by_name)
+        self._free_next = dict(self._relation_next)
+        for a in self.arrows:
+            for b in self._out[a.target]:
+                in_relation = (a.name, b.name) in self.relations
+                table = self._relation_next if in_relation else self._free_next
+                if table[a.name] is None:
+                    table[a.name] = b.name
 
     def arrow(self, name):
         try:
@@ -140,6 +151,11 @@ class Presentation:
 
     def is_relation(self, a, b):
         return (a, b) in self.relations
+
+    def arrow_path(self, name):
+        """The path of the single arrow ``name``."""
+        a = self.arrow(name)
+        return Path(a.source, a.target, (name,))
 
     def trivial_path(self, v):
         if v not in self._out:
@@ -163,15 +179,17 @@ class Presentation:
 
     def relation_continuation(self, arrow_name):
         """The arrow g with (arrow, g) a relation, or None."""
-        a = self.arrow(arrow_name)
-        hits = [b.name for b in self._out[a.target] if self.is_relation(arrow_name, b.name)]
-        return hits[0] if hits else None
+        return self._continuation(self._relation_next, arrow_name)
 
     def free_continuation(self, arrow_name):
         """The arrow g with (arrow, g) composable and not a relation, or None."""
-        a = self.arrow(arrow_name)
-        hits = [b.name for b in self._out[a.target] if not self.is_relation(arrow_name, b.name)]
-        return hits[0] if hits else None
+        return self._continuation(self._free_next, arrow_name)
+
+    def _continuation(self, table, arrow_name):
+        try:
+            return table[arrow_name]
+        except KeyError:
+            raise PresentationError(f"unknown arrow {arrow_name!r}") from None
 
 
 def parse_presentation(text):
@@ -360,7 +378,7 @@ def path_basis(pres):
     """
     _require_validated(pres)
     out = [pres.trivial_path(v) for v in pres.vertices]
-    frontier = [Path(a.source, a.target, (a.name,)) for a in pres.arrows]
+    frontier = [pres.arrow_path(a.name) for a in pres.arrows]
     while frontier:
         out.extend(frontier)
         fresh = []
@@ -412,41 +430,27 @@ def _maximal_extension(pres, p):
     _require_validated(pres)
     if p.is_trivial():
         raise PresentationError("maximal_extension needs a path of length >= 1")
-    hat_names: list[str] = []
-    last = p.arrows[-1]
-    while True:
-        nxt = pres.free_continuation(last)
-        if nxt is None:
-            break
-        hat_names.append(nxt)
-        last = nxt
-    if hat_names:
-        hat = pres.path(hat_names)
-        tilde = Path(p.source, hat.target, p.arrows + hat.arrows)
+    nxt = pres.free_continuation(p.arrows[-1])
+    if nxt is None:
+        hat, tilde = pres.trivial_path(p.target), p
     else:
-        hat = pres.trivial_path(p.target)
-        tilde = p
+        hat = maximal_path(pres, nxt)
+        tilde = Path(p.source, hat.target, p.arrows + hat.arrows)
     others = [a for a in pres.out_arrows(p.source) if a.name != p.arrows[0]]
-    check = None
-    if others:
-        check = _maximal_through(pres, others[0].name)
+    check = maximal_path(pres, others[0].name) if others else None
     return MaximalExtension(tilde, hat, check)
 
 
-def _maximal_through(pres, arrow_name):
+def maximal_path(pres, arrow_name):
+    """The longest relation-free path starting with the arrow ``arrow_name``."""
+    _require_validated(pres)
     names = [arrow_name]
-    while True:
-        nxt = pres.free_continuation(names[-1])
-        if nxt is None:
-            return pres.path(names)
+    while (nxt := pres.free_continuation(names[-1])) is not None:
         names.append(nxt)
+    return pres.path(names)
 
 
 def dim_projective(pres, v):
     """dim e_v(kQ/I): the number of basis paths with source v."""
     _require_validated(pres)
-    outs = pres.out_arrows(v)
-    total = 1
-    for a in outs:
-        total += _maximal_through(pres, a.name).length
-    return total
+    return 1 + sum(maximal_path(pres, a.name).length for a in pres.out_arrows(v))

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import Path, PresentationError, dim_projective, maximal_extension, parse_presentation, validate_gentle
+from .core import (PresentationError, dim_projective, maximal_extension, maximal_path,
+                   parse_presentation, validate_gentle)
 from .walks import (GBA, GST, Letter, classify_walk, enumerate_gba,
                     enumerate_gst, glue_bar, inverse_walk, is_derived_discrete,
-                    longest_walk_arrows, mu_profile)
+                    longest_walk_arrows, mu_profile, shorten_letter)
 from .complexes import check_band, mu_minimal_rotation, string_complex
 from .cohomology import (CohVector, band_sums, beta_cohomology, cohomology_dims,
                          node_contributions, node_sums)
@@ -152,11 +153,6 @@ def _positive_candidates(pres, walk, mask_degree=None):
 # glue chains as letter lists
 
 
-def _arrow_path(pres, name):
-    a = pres.arrow(name)
-    return Path(a.source, a.target, (name,))
-
-
 def _flip(letters):
     """The letters of the inverse walk: reversed, each one inverted."""
     return tuple(l.inverted() for l in reversed(letters))
@@ -232,20 +228,10 @@ def _prepend_plans(pres, side, tag, target, steps, rest):
                 "string", side.frame(rest))
     g = pres.relation_continuation(rest[0].path.arrows[-1]) if rest[0].inverse else None
     if g is not None:
-        chain, beta, note = _chain(pres, _arrow_path(pres, g), rest)
+        chain, beta, note = _chain(pres, pres.arrow_path(g), rest)
         yield _plan(tag, target,
                     steps + [f"{side.left} glue chain of {len(chain)} letters ({note})"],
                     "beta" if beta else "string", side.frame(chain + rest))
-
-
-def _shorten_letter(pres, letter, drop):
-    """Drop ``drop`` arrows from the walk-front of the letter; None when no
-    arrow would be left."""
-    arrows = letter.path.arrows
-    if drop >= len(arrows):
-        return None
-    kept = arrows[:-drop] if letter.inverse else arrows[drop:]
-    return Letter(pres.path(kept), letter.inverse)
 
 
 def _other_arrow(pres, letter):
@@ -273,12 +259,12 @@ def _end_plans(pres, side, letters, q, one_sided):
             yield _glued(pres, side, tag, q, [],
                          f"the other maximal path {ext.check.label()}", ext.check, letters)
         if first.length >= 2:
-            rest = (_shorten_letter(pres, first, 1),) + letters[1:]
+            rest = (shorten_letter(pres, first, 1),) + letters[1:]
             steps = [f"truncate {side.first} arrow of the {side.first} letter"]
             other = _other_arrow(pres, rest[0])
             if other is not None:
                 yield _glued(pres, side, tag, q, steps, f"arrow {other}",
-                             _arrow_path(pres, other), rest)
+                             pres.arrow_path(other), rest)
             yield _plan(tag, q, steps + [f"no second arrow at the new {side.start}"],
                         "string", side.frame(rest))
         elif len(letters) > 1:
@@ -289,16 +275,16 @@ def _end_plans(pres, side, letters, q, one_sided):
     g = pres.relation_continuation(first.path.arrows[-1])
     if g is None:
         return
-    tilde = maximal_extension(pres, _arrow_path(pres, g)).tilde
+    tilde = maximal_path(pres, g)
     if side is _END:
         tag = "ONE_SIDED_END" if one_sided else "GENERAL_Q"
         if tilde.length >= 2:
-            head = Letter(pres.path(tilde.arrows[1:]))
+            head = shorten_letter(pres, Letter(tilde), 1)
             jump = f"jump to the truncated maximal path {tilde.label()}"
             other = _other_arrow(pres, head)
             if other is not None:
                 yield _plan(tag, q, [jump, f"prepend inverted arrow {other}", "beta"],
-                            "beta", (Letter(_arrow_path(pres, other), True), head))
+                            "beta", (Letter(pres.arrow_path(other), True), head))
             yield _plan(tag, q, [jump, "beta"], "beta", (head,))
     yield _glued(pres, side, tag, q, [], f"the maximal path {tilde.label()}", tilde, letters)
 
@@ -323,12 +309,12 @@ def _local_plans(pres, walk, q):
     if not before.inverse and not after.inverse:
         tag = "ONE_SIDED_MID" if one_sided else "GENERAL_Q"
         if after.length >= 3:
-            rest = (_shorten_letter(pres, after, 2),) + letters[q + 1:]
+            rest = (shorten_letter(pres, after, 2),) + letters[q + 1:]
             steps = [f"truncate two arrows of letter {q + 1}", "discard the prefix"]
             other = _other_arrow(pres, rest[0])
             if other is not None:
                 yield _glued(pres, _START, tag, q, steps, f"arrow {other}",
-                             _arrow_path(pres, other), rest)
+                             pres.arrow_path(other), rest)
             yield _plan(tag, q, steps, "string", rest)
         elif after.length == 2 and q + 1 <= n - 1:
             yield from _prepend_plans(pres, _START, tag, q,
@@ -339,7 +325,7 @@ def _local_plans(pres, walk, q):
         turn = not after.inverse
         tag = "BACKWARD_TURN" if turn else "ONE_SIDED_MID" if one_sided else "GENERAL_Q"
         if before.length >= 2:
-            rest = (_shorten_letter(pres, before, 1),) + letters[q:]
+            rest = (shorten_letter(pres, before, 1),) + letters[q:]
             yield from _prepend_plans(pres, _START, tag, q,
                                       [f"truncate one arrow of letter {q}", "discard the prefix"],
                                       rest)
@@ -352,7 +338,7 @@ def _local_plans(pres, walk, q):
                 yield _glued(pres, _START, tag, q, [f"consume letter {q}"],
                              check.label(), check, rest)
         if turn and after.length >= 2:
-            rest = (_shorten_letter(pres, after.inverted(), 1),) + _flip(letters[:q])
+            rest = (shorten_letter(pres, after.inverted(), 1),) + _flip(letters[:q])
             yield from _prepend_plans(pres, _END, tag, q,
                                       [f"truncate one arrow of letter {q + 1}",
                                        "discard the suffix"], rest)
@@ -376,7 +362,7 @@ def _cut_plans(pres, walk):
             for k in (0, 1, 2):
                 exposed = piece
                 if k:
-                    head = _shorten_letter(pres, piece[0], k)
+                    head = shorten_letter(pres, piece[0], k)
                     if head is None:
                         continue
                     exposed = (head,) + piece[1:]
@@ -584,8 +570,7 @@ def reduce_stalk(pres, vertex):
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
-    arrow = pres.out_arrows(vertex)[0]
-    tilde = maximal_extension(pres, _arrow_path(pres, arrow.name)).tilde
+    tilde = maximal_path(pres, pres.out_arrows(vertex)[0].name)
     walk = classify_walk(pres, [Letter(tilde)])
     out = string_witness(pres, walk)
     if out.hl != l - 1:
@@ -695,14 +680,6 @@ arrow a4 : 4 -> 5
 arrow a5 : 5 -> 6
 arrow a6 : 6 -> 7
 rel a1 a3
-"""
-
-KRONECKER_SOURCE = """\
-# two parallel arrows, no relations
-algebra kronecker
-vertices 1 2
-arrow a : 1 -> 2
-arrow b : 1 -> 2
 """
 
 

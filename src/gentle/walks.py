@@ -58,10 +58,6 @@ class GenWalk:
     def width(self):
         return len(self.letters)
 
-    @property
-    def arrow_total(self):
-        return sum(l.length for l in self.letters)
-
     def node_vertex(self, j):
         """c(j): the vertex at node j (0 <= j <= width)."""
         if j < len(self.letters):
@@ -205,30 +201,31 @@ def truncate_last(pres, walk, j):
 
 
 def _truncate(pres, walk, j, first):
+    """The walk-back of the last letter is the walk-front of its inverted
+    letter, so both ends trim through ``shorten_letter``."""
     if j == 0:
         return walk
-    letters = list(walk.letters)
-    letter = letters[0] if first else letters[-1]
+    letter = walk.letters[0] if first else walk.letters[-1].inverted()
     if j > letter.length:
         raise PresentationError("cannot truncate past one letter")
-    if j == letter.length:
-        rest = letters[1:] if first else letters[:-1]
+    rest = walk.letters[1:] if first else walk.letters[:-1]
+    kept = shorten_letter(pres, letter, j)
+    if kept is None:
         if not rest:
             raise PresentationError("truncation emptied the walk")
         return classify_walk(pres, rest)
+    return classify_walk(pres, (kept,) + rest if first else rest + (kept.inverted(),))
+
+
+def shorten_letter(pres, letter, drop):
+    """Drop ``drop`` >= 1 arrows from the walk-front of the letter; None when
+    no arrow would be left.  An inverse letter is written back to front, so
+    its walk-front is the back of its path."""
     arrows = letter.path.arrows
-    # An inverse letter is written back to front, so the walk-front of the
-    # letter is the back of its underlying path.
-    if first == letter.inverse:
-        kept = arrows[:-j]
-    else:
-        kept = arrows[j:]
-    new_letter = Letter(pres.path(kept), letter.inverse)
-    if first:
-        letters[0] = new_letter
-    else:
-        letters[-1] = new_letter
-    return classify_walk(pres, letters)
+    if drop >= len(arrows):
+        return None
+    kept = arrows[:-drop] if letter.inverse else arrows[drop:]
+    return Letter(pres.path(kept), letter.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +272,7 @@ def glue_bar(pres, alpha):
             cut = seen[nxt]
             return BarDescriptor(tuple(chain + tail[:cut]), tuple(tail[cut:]))
         seen[nxt] = len(tail)
-        arrow = pres.arrow(nxt)
-        tail.append(Letter(Path(arrow.source, arrow.target, (nxt,))))
+        tail.append(Letter(pres.arrow_path(nxt)))
         last = nxt
 
 
@@ -406,32 +402,15 @@ def longest_walk_arrows(pres):
 
 
 def _longest_walk(letters, edges):
-    order = _topological_order(letters, edges)
-    if order is None:
-        return None
+    """Tarjan lists every component after all the components it reaches,
+    so in its order each letter's successors are settled before it."""
     best = {}
-    for l in reversed(order):
+    for comp in _sccs(letters, edges):
+        l = comp[0]
+        if len(comp) > 1 or l in edges[l]:
+            return None
         best[l] = l.length + max((best[n] for n in edges[l]), default=0)
     return max(best.values(), default=0)
-
-
-def _topological_order(nodes, edges):
-    indeg = {n: 0 for n in nodes}
-    for n in nodes:
-        for m in edges[n]:
-            indeg[m] += 1
-    ready = [n for n in nodes if indeg[n] == 0]
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for m in edges[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    if len(order) != len(nodes):
-        return None
-    return order
 
 
 @dataclass(frozen=True)
@@ -459,7 +438,7 @@ def is_derived_discrete(pres):
     weight = {l: (+1 if l.inverse else -1) for l in letters}
     comp_summaries = []
     witness = None
-    for comp in _sccs(letters, edges):
+    for comp in sorted(_sccs(letters, edges), key=lambda comp: min(l.sort_key() for l in comp)):
         comp_set = set(comp)
         internal = {n: [m for m in edges[n] if m in comp_set] for n in comp}
         if len(comp) == 1 and comp[0] not in internal[comp[0]]:
@@ -478,7 +457,8 @@ def is_derived_discrete(pres):
 
 
 def _sccs(nodes, edges):
-    """Tarjan, iterative; components in deterministic order."""
+    """Tarjan, iterative: each component is listed after every component
+    it reaches."""
     index = {}
     low = {}
     on_stack = set()
@@ -521,7 +501,6 @@ def _sccs(nodes, edges):
                         if x is node:
                             break
                     out.append(comp)
-    out.sort(key=lambda comp: min(l.sort_key() for l in comp))
     return out
 
 

@@ -14,7 +14,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-from gentle import (A0_SOURCE, KRONECKER_SOURCE, band_complex,
+from gentle import (A0_SOURCE, band_complex,
                     beta_cohomology, beta_window, check_minimal, classify_walk,
                     cohomology_dims, differential_matrix, enumerate_gba,
                     enumerate_gst, hl_spectrum, load_builtin,
@@ -204,7 +204,7 @@ def test_criterion_5_band_unwinding_bridge():
     P_2 -(a + lambda b)-> P_1 with H^1 of dimension 3 - 1 = 2; the unwound
     string is P_2 + P_2 -(a, b)-> P_1 with H^1 of dimension 3 - 2 = 1.
     """
-    kronecker = load_builtin(KRONECKER_SOURCE)
+    kronecker = load_builtin((ROOT / "algebras" / "kronecker.alg").read_text(encoding="utf-8"))
     hand = _unwinding_pair(kronecker, parse_walk(kronecker, "a , ~b"), 1)
     mismatches = []
     bands = 0

@@ -52,7 +52,10 @@ def test_validate_reports_violations():
 
 
 def test_basis_verb():
-    payload = run_json(["basis", A0_FILE])
+    code, out = run(["basis", A0_FILE])
+    assert code == 0
+    assert out == (GOLDEN / "a0_basis.json").read_text()
+    payload = json.loads(out)
     assert payload["size"] == 20
     assert payload["projective_dimensions"]["2"] == 6
 
@@ -185,6 +188,10 @@ def test_input_errors_exit_one(tmp_path, capsys):
                  ["cohomology", KR_FILE] + power,
                  ["reduce", KR_FILE] + power,
                  ["reduce", A0_FILE, "--walk", "a1 , a2"],
+                 # band parameters without --band
+                 ["complex", A0_FILE, "--walk", "a1", "--mult", "2"],
+                 ["cohomology", A0_FILE, "--walk", "a1", "--lambda", "0"],
+                 ["reduce", A0_FILE, "--walk", "a1", "--mult", "0"],
                  # usage errors: exit 2 would read as a spectrum gap
                  ["spectrum", A0_FILE, "--max-arrows", "abc"],
                  ["cohomology", A0_FILE],

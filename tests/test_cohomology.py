@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from gentle import (CohVector, band_complex, band_sums, beta_cohomology, beta_window,
                     cohomology_dims, dim_projective, enumerate_gba,
-                    enumerate_gst, hl, hw, hr, node_contributions, node_sums,
+                    enumerate_gst, node_contributions, node_sums,
                     parse_walk, stalk_complex, string_complex)
 
 from corpus import A0, KRONECKER, RELATION_CYCLE, TWO_RELATION_CHAIN, full_corpus, load
@@ -35,7 +35,6 @@ def test_stalk_vector():
 def test_zero_vector_conventions():
     zero = CohVector(())
     assert (zero.hl, zero.hw, zero.hr) == (0, 0, 0)
-    assert hl(zero) == hw(zero) == hr(zero) == 0
 
 
 def test_node_contributions_base_walk():
@@ -119,11 +118,6 @@ def test_beta_window_agrees_with_beta_rule():
                 window = cohomology_dims(pres, beta_window(pres, walk, steps)[0])
                 visible = {d: v for d, v in window.as_dict().items() if d >= bottom}
                 assert visible == expected.as_dict(), (walk.literal(), steps)
-
-
-def test_accessor_aliases():
-    vec = cohomology_dims(a0, string_complex(a0, parse_walk(a0, "a1")))
-    assert (hl(vec), hw(vec), hr(vec)) == (4, 2, 8)
 
 
 # --- the closed form against the rank oracle --------------------------------

@@ -1,8 +1,8 @@
 import pytest
 
 from gentle import (NotComposable, PresentationError, compose, dim_projective,
-                    maximal_extension, parse_presentation, path_basis,
-                    validate_gentle)
+                    maximal_extension, maximal_path, parse_presentation,
+                    path_basis, validate_gentle)
 
 from corpus import A0, KRONECKER, full_corpus, load
 
@@ -141,6 +141,37 @@ def test_maximal_extension_kronecker():
     assert ext.tilde.label() == "a"
     assert ext.hat.is_trivial()
     assert ext.check.label() == "b"
+
+
+def _scanned_continuation(pres, arrow_name, relation):
+    """The first arrow out of the target whose product with the arrow is
+    (or is not) a relation, by a scan of the out-arrows."""
+    a = pres.arrow(arrow_name)
+    return next((b.name for b in pres.out_arrows(a.target)
+                 if pres.is_relation(arrow_name, b.name) == relation), None)
+
+
+def test_continuations_agree_with_a_scan_of_the_out_arrows():
+    # not gentle, never validated: a has two relation and two free continuations
+    crowded = parse_presentation(
+        "algebra t\nvertices 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n"
+        "arrow c : 2 -> 1\narrow d : 2 -> 1\narrow e : 2 -> 1\nrel a b\nrel a c\nrel b a\n")
+    assert (crowded.relation_continuation("a"), crowded.free_continuation("a")) == ("b", "d")
+    for pres in full_corpus() + [crowded]:
+        for a in pres.arrows:
+            assert pres.relation_continuation(a.name) == _scanned_continuation(pres, a.name, True)
+            assert pres.free_continuation(a.name) == _scanned_continuation(pres, a.name, False)
+    for lookup in (crowded.relation_continuation, crowded.free_continuation):
+        with pytest.raises(PresentationError, match="unknown arrow"):
+            lookup("z")
+
+
+def test_maximal_path_is_the_maximal_extension_of_its_arrow():
+    assert maximal_path(load(A0), "a3").label() == "a3.a4.a5.a6"
+    for pres in full_corpus():
+        for a in pres.arrows:
+            tilde = maximal_extension(pres, pres.arrow_path(a.name)).tilde
+            assert maximal_path(pres, a.name) == tilde
 
 
 def test_compose_relation_and_identity():

@@ -12,7 +12,8 @@ from gentle import (GBA, GST, INVALID, Letter, PresentationError,
                     canonical_band, canonical_string, classify_walk,
                     enumerate_gba, enumerate_gst, glue_bar, inverse_walk,
                     is_derived_discrete, is_string, longest_walk_arrows,
-                    parse_walk, rotate_walk, truncate_first, truncate_last)
+                    parse_walk, rotate_walk, shorten_letter, truncate_first,
+                    truncate_last)
 from gentle import walks
 from gentle.walks import (is_primitive, letter_universe, mu_profile,
                           transition_edges)
@@ -309,6 +310,14 @@ def test_truncate_last_acts_on_the_walk_end():
     assert truncate_first(a0, inv, 2).literal() == "~a3 , ~a1"
 
 
+def test_shorten_letter_drops_the_walk_front():
+    path = a0.path(["a3", "a4", "a5"])
+    assert shorten_letter(a0, Letter(path), 1).literal() == "a4.a5"
+    # an inverse letter runs back to front: its walk-front is a5
+    assert shorten_letter(a0, Letter(path, True), 2).literal() == "~a3"
+    assert shorten_letter(a0, Letter(path, True), 3) is None
+
+
 def test_glue_bar_examples():
     bar = glue_bar(a0, a0.path(["a1"]))
     assert bar.finite
@@ -338,6 +347,26 @@ def test_longest_walk_arrows():
     assert longest_walk_arrows(a0) == 5
     assert longest_walk_arrows(kron) is None
     assert longest_walk_arrows(cyc) is None
+
+
+def test_longest_walk_arrows_against_enumeration():
+    """The enumerated strings bound the answer without the letter graph's
+    order: a finite value is the largest arrow total and no longer string
+    exists one arrow further, and when there is no bound, a walk that
+    repeats a letter shows up by six arrows on these draws."""
+    finite = 0
+    for seed in range(200):
+        pres = random_gentle(seed)
+        longest = longest_walk_arrows(pres)
+        if longest is None:
+            found = enumerate_gst(pres, 6).walks
+            assert any(len(set(w.letters)) < w.width for w in found), seed
+            continue
+        finite += 1
+        for bound in (longest, longest + 1):
+            totals = [sum(l.length for l in w.letters) for w in enumerate_gst(pres, bound).walks]
+            assert max(totals, default=0) == longest, (seed, bound)
+    assert 50 < finite < 150
 
 
 def test_walk_literals_round_trip():
