@@ -115,6 +115,7 @@ class Presentation:
     _free_next: dict = field(default_factory=dict, repr=False)
     _basis: tuple | None = field(default=None, repr=False, compare=False)
     _extensions: dict = field(default_factory=dict, repr=False, compare=False)
+    _letter_graph: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._arrow_by_name = {a.name: a for a in self.arrows}
@@ -231,6 +232,8 @@ def parse_presentation(text):
             aname, src, tgt = rest[0], rest[2], rest[4]
             if aname in seen_arrows:
                 raise PresentationError(f"duplicate arrow {aname!r}", lineno)
+            if any(c in aname for c in ".,~"):
+                raise PresentationError(f"arrow name {aname!r} contains '.', ',' or '~'", lineno)
             if src not in seen_vertices:
                 raise PresentationError(f"unknown vertex {src!r}", lineno)
             if tgt not in seen_vertices:

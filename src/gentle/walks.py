@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Path, PresentationError
+from .core import Path, PresentationError, _vertex_basis
 
 GST = "GST"
 GBA = "GBA"
@@ -32,6 +32,11 @@ class Letter:
     @property
     def length(self):
         return self.path.length
+
+    @property
+    def step(self):
+        """The degree increment: +1 for an inverse letter, -1 for a direct one."""
+        return 1 if self.inverse else -1
 
     def inverted(self):
         return Letter(self.path, not self.inverse)
@@ -77,7 +82,7 @@ class GenWalk:
 def mu_profile(letters):
     mu = [0]
     for l in letters:
-        mu.append(mu[-1] + (1 if l.inverse else -1))
+        mu.append(mu[-1] + l.step)
     return tuple(mu)
 
 
@@ -280,31 +285,57 @@ def glue_bar(pres, alpha):
 # enumeration and the band decision
 
 
-def letter_universe(pres):
-    from .core import path_basis
-    letters = []
-    for p in path_basis(pres):
-        if p.length >= 1:
-            letters.append(Letter(p, False))
-            letters.append(Letter(p, True))
-    letters.sort(key=Letter.sort_key)
-    return letters
+@dataclass(frozen=True)
+class LetterGraph:
+    """The letter-transition graph on integer positions, which follow
+    ``Letter.sort_key``.  ``succ[j]`` lists the letters that may follow
+    letter j and ``inv[j]`` is the position of its inverted letter;
+    ``components`` are Tarjan's strongly connected components, each after
+    every one it reaches; ``longest`` is the arrow total of the longest
+    walk, or None when the graph has a cycle."""
+
+    letters: tuple[Letter, ...]
+    succ: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    length: tuple[int, ...]
+    step: tuple[int, ...]
+    components: tuple[tuple[int, ...], ...]
+    longest: int | None
 
 
-def transition_edges(pres, letters=None):
-    """Gst-legal adjacency among letters, weighted by the head letter's
-    degree increment (+1 inverse, -1 direct)."""
-    if letters is None:
-        letters = letter_universe(pres)
-    by_source = {}
-    for l in letters:
-        by_source.setdefault(l.source, []).append(l)
-    edges = {l: [] for l in letters}
-    for a in letters:
-        for b in by_source.get(a.target, []):
-            if junction_reason(pres, a, b) is None:
-                edges[a].append(b)
-    return edges
+def letter_graph(pres):
+    """The presentation's letter graph, built once."""
+    if pres._letter_graph is None:
+        letters = sorted((Letter(p, inverse) for paths in _vertex_basis(pres)[0].values()
+                          for p in paths if p.length >= 1 for inverse in (False, True)),
+                         key=Letter.sort_key)
+        position = {l: j for j, l in enumerate(letters)}
+        by_source = {}
+        for j, l in enumerate(letters):
+            by_source.setdefault(l.source, []).append(j)
+        succ = tuple(tuple(k for k in by_source.get(a.target, ())
+                           if junction_reason(pres, a, letters[k]) is None) for a in letters)
+        length = tuple(l.length for l in letters)
+        components = _sccs(succ)
+        # Tarjan's order settles each letter's successors before the letter.
+        best = [0] * len(letters)
+        for comp in components:
+            if _cyclic(succ, comp):
+                longest = None
+                break
+            j = comp[0]
+            best[j] = length[j] + max((best[k] for k in succ[j]), default=0)
+        else:
+            longest = max(best, default=0)
+        pres._letter_graph = LetterGraph(
+            tuple(letters), succ, tuple(position[l.inverted()] for l in letters),
+            length, tuple(l.step for l in letters), components, longest)
+    return pres._letter_graph
+
+
+def _cyclic(succ, comp):
+    """True when the component carries a cycle."""
+    return len(comp) > 1 or comp[0] in succ[comp[0]]
 
 
 @dataclass(frozen=True)
@@ -314,35 +345,24 @@ class Enumeration:
     max_arrows: int
 
 
-def _letter_graph(pres):
-    letters = letter_universe(pres)
-    return letters, transition_edges(pres, letters)
-
-
-def _prefixes(letters, edges, max_arrows):
-    """Every letter sequence along the transition graph with arrow total
+def _prefixes(graph, max_arrows):
+    """Every letter sequence along the letter graph with arrow total
     <= max_arrows, walked with an explicit stack.
 
-    Yields (key, back, mu, closed) on letter positions in ``letters``: the
-    walk's positions, those of its inverse walk, its degree profile, and
-    whether it closes into a band (mu returns to 0 and the last letter may
-    precede the first).  Each is extended by one letter per step, so no
-    prefix is rebuilt or classified again; the graph already checked every
-    junction.
+    Yields (key, back, mu, closed) on letter positions: the walk's
+    positions, those of its inverse walk, its degree profile, and whether
+    it closes into a band (mu returns to 0 and the last letter may precede
+    the first).  Each is extended by one letter per step, so no prefix is
+    rebuilt or classified again; the graph already checked every junction.
     """
     if max_arrows < 0:
         raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
-    position = {l: j for j, l in enumerate(letters)}
-    length = [l.length for l in letters]
-    step = [+1 if l.inverse else -1 for l in letters]
-    inv = [position[l.inverted()] for l in letters]
-    succ = [[position[m] for m in edges[l]] for l in letters]
-    follows = [set(s) for s in succ]
+    succ, inv, length, step = graph.succ, graph.inv, graph.length, graph.step
     stack = [((j,), (inv[j],), length[j], (0, step[j]))
-             for j in range(len(letters)) if length[j] <= max_arrows]
+             for j in range(len(succ)) if length[j] <= max_arrows]
     while stack:
         key, back, used, mu = stack.pop()
-        yield key, back, mu, mu[-1] == 0 and key[0] in follows[key[-1]]
+        yield key, back, mu, mu[-1] == 0 and key[0] in succ[key[-1]]
         for j in succ[key[-1]]:
             if used + length[j] <= max_arrows:
                 stack.append((key + (j,), (inv[j],) + back, used + length[j],
@@ -354,21 +374,21 @@ def _least_in_orbit(key, back):
     return all(key <= w[k:] + w[:k] for w in (key, back) for k in range(len(key)))
 
 
-def _enumeration(letters, edges, max_arrows, keep):
+def _enumeration(pres, max_arrows, keep):
     """The prefixes that ``keep(key, back, closed)`` accepts, as walks in
-    sort-key order; complete when the letter-transition graph is acyclic
-    and its longest walk fits the bound.
+    sort-key order; complete when the letter graph is acyclic and its
+    longest walk fits the bound.
 
-    Positions follow ``Letter.sort_key`` (the universe is sorted), so
-    comparing keys orders walks as ``GenWalk.sort_key`` does.
+    Positions follow ``Letter.sort_key``, so comparing keys orders walks
+    as ``GenWalk.sort_key`` does.
     """
-    found = [(key, GenWalk(tuple(letters[j] for j in key), GBA if closed else GST, mu))
-             for key, back, mu, closed in _prefixes(letters, edges, max_arrows)
+    graph = letter_graph(pres)
+    found = [(key, GenWalk(tuple(graph.letters[j] for j in key), GBA if closed else GST, mu))
+             for key, back, mu, closed in _prefixes(graph, max_arrows)
              if keep(key, back, closed)]
     found.sort(key=lambda item: item[0])
-    longest = _longest_walk(letters, edges)
     return Enumeration(tuple(walk for _, walk in found),
-                       longest is not None and longest <= max_arrows, max_arrows)
+                       graph.longest is not None and graph.longest <= max_arrows, max_arrows)
 
 
 def enumerate_gst(pres, max_arrows):
@@ -380,8 +400,7 @@ def enumerate_gst(pres, max_arrows):
     set when the letter-transition graph is acyclic and the longest
     possible walk fits the bound.
     """
-    return _enumeration(*_letter_graph(pres), max_arrows,
-                        lambda key, back, closed: key <= back)
+    return _enumeration(pres, max_arrows, lambda key, back, closed: key <= back)
 
 
 def enumerate_gba(pres, max_arrows):
@@ -390,7 +409,7 @@ def enumerate_gba(pres, max_arrows):
     Every rotation of a band, and of its inverse, is itself a prefix, so
     each orbit is emitted once, at the rotation ``canonical_band`` picks.
     """
-    return _enumeration(*_letter_graph(pres), max_arrows,
+    return _enumeration(pres, max_arrows,
                         lambda key, back, closed: (closed and _period(key) == len(key)
                                                    and _least_in_orbit(key, back)))
 
@@ -398,19 +417,7 @@ def enumerate_gba(pres, max_arrows):
 def longest_walk_arrows(pres):
     """Arrow total of the longest generalized walk, or None when unbounded
     (the letter-transition graph has a cycle)."""
-    return _longest_walk(*_letter_graph(pres))
-
-
-def _longest_walk(letters, edges):
-    """Tarjan lists every component after all the components it reaches,
-    so in its order each letter's successors are settled before it."""
-    best = {}
-    for comp in _sccs(letters, edges):
-        l = comp[0]
-        if len(comp) > 1 or l in edges[l]:
-            return None
-        best[l] = l.length + max((best[n] for n in edges[l]), default=0)
-    return max(best.values(), default=0)
+    return letter_graph(pres).longest
 
 
 @dataclass(frozen=True)
@@ -430,94 +437,80 @@ class DiscretenessReport:
 def is_derived_discrete(pres):
     """Exact band-existence decision on the letter-transition graph.
 
-    A band is a zero-weight closed walk; one exists in a strongly connected
-    component exactly when the component has a zero-weight cycle or cycles
-    of both signs.
+    A band is a zero-weight closed walk, weighted by the letter steps; one
+    exists in a strongly connected component exactly when the component
+    has a zero-weight cycle or cycles of both signs.
     """
-    letters, edges = _letter_graph(pres)
-    weight = {l: (+1 if l.inverse else -1) for l in letters}
+    graph = letter_graph(pres)
     comp_summaries = []
     witness = None
-    for comp in sorted(_sccs(letters, edges), key=lambda comp: min(l.sort_key() for l in comp)):
-        comp_set = set(comp)
-        internal = {n: [m for m in edges[n] if m in comp_set] for n in comp}
-        if len(comp) == 1 and comp[0] not in internal[comp[0]]:
+    for comp in sorted(graph.components, key=min):
+        if not _cyclic(graph.succ, comp):
             continue
-        neg = _cycle_with_sign(comp, internal, weight, want_nonpositive=True)
-        pos = _cycle_with_sign(comp, internal, weight, want_nonpositive=False)
-        summary = {
+        members = set(comp)
+        internal = {n: [m for m in graph.succ[n] if m in members] for n in comp}
+        neg = _cycle_with_sign(comp, internal, graph.step, want_nonpositive=True)
+        pos = _cycle_with_sign(comp, internal, graph.step, want_nonpositive=False)
+        comp_summaries.append({
             "size": len(comp),
             "has_nonpositive_cycle": neg is not None,
             "has_nonnegative_cycle": pos is not None,
-        }
-        comp_summaries.append(summary)
+        })
         if neg is not None and pos is not None and witness is None:
-            witness = _zero_weight_band(pres, internal, weight, neg, pos)
+            witness = _zero_weight_band(pres, graph, internal, neg, pos)
     return DiscretenessReport(witness is None, witness, tuple(comp_summaries))
 
 
-def _sccs(nodes, edges):
-    """Tarjan, iterative: each component is listed after every component
-    it reaches."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = []
-    counter = [0]
-    for root in nodes:
+def _sccs(succ):
+    """Tarjan, iterative, on positions 0..len(succ)-1: each component is
+    listed after every component it reaches."""
+    index, low, on_stack = {}, [0] * len(succ), [False] * len(succ)
+    stack, out = [], []
+
+    def enter(j):
+        index[j] = low[j] = len(index)
+        stack.append(j)
+        on_stack[j] = True
+        return j, iter(succ[j])
+
+    for root in range(len(succ)):
         if root in index:
             continue
-        work = [(root, iter(edges[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        work = [enter(root)]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(edges[nxt])))
-                    advanced = True
+                    work.append(enter(nxt))
                     break
-                if nxt in on_stack:
+                if on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])
-            if not advanced:
+            else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
                 if low[node] == index[node]:
                     comp = []
-                    while True:
-                        x = stack.pop()
-                        on_stack.discard(x)
-                        comp.append(x)
-                        if x is node:
-                            break
-                    out.append(comp)
-    return out
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    out.append(tuple(comp))
+    return tuple(out)
 
 
 def _cycle_with_sign(comp, edges, weight, want_nonpositive):
     """A cycle with weight <= 0 (resp. >= 0) inside one SCC, or None.
 
     Scaled Bellman-Ford: with W(e) = n*w(e) - 1 a negative W-cycle is
-    exactly a cycle of original weight <= 0 (cycle length <= n).  It runs
-    on the letters' positions in `comp` and stops at the first round that
-    relaxes nothing.
+    exactly a cycle of original weight <= 0 (cycle length <= n).  It stops
+    at the first round that relaxes nothing.
     """
     n = len(comp)
     sign = 1 if want_nonpositive else -1
-    pos = {l: i for i, l in enumerate(comp)}
-    scaled = [(pos[u], pos[v], n * sign * weight[v] - 1) for u in comp for v in edges[u]]
-    dist = [0] * n
-    pred = [None] * n
+    scaled = [(u, v, n * sign * weight[v] - 1) for u in comp for v in edges[u]]
+    dist = dict.fromkeys(comp, 0)
+    pred = dict.fromkeys(comp)
     for _ in range(n):
         x = None
         for u, v, w in scaled:
@@ -535,34 +528,35 @@ def _cycle_with_sign(comp, edges, weight, want_nonpositive):
         cycle.append(v)
         v = pred[v]
     cycle.reverse()
-    return [comp[i] for i in cycle]
+    return cycle
 
 
-def _zero_weight_band(pres, edges, weight, neg_cycle, pos_cycle):
+def _zero_weight_band(pres, graph, edges, neg_cycle, pos_cycle):
     """Compose cycles of opposite sign into a zero-weight closed walk.
 
     Based at the positive cycle: a laps of it, then w_pos blocks of
     (path over, b laps of the negative cycle, path back); a and b are
     chosen so the total weight cancels exactly.
     """
-    w_neg = sum(weight[l] for l in neg_cycle)
-    w_pos = sum(weight[l] for l in pos_cycle)
+    weight = graph.step
+    w_neg = sum(weight[j] for j in neg_cycle)
+    w_pos = sum(weight[j] for j in pos_cycle)
     if w_neg == 0:
-        word = list(neg_cycle)
+        word = neg_cycle
     elif w_pos == 0:
-        word = list(pos_cycle)
+        word = pos_cycle
     else:
         there = _bfs_path(edges, pos_cycle[0], neg_cycle[0])
         back = _bfs_path(edges, neg_cycle[0], pos_cycle[0])
         b = 1
         while True:
             block = there[:-1] + b * neg_cycle + back[:-1]
-            block_weight = sum(weight[l] for l in block)
+            block_weight = sum(weight[j] for j in block)
             if block_weight < 0:
                 break
             b += 1
         word = (-block_weight) * pos_cycle + w_pos * block
-    walk = classify_walk(pres, tuple(word))
+    walk = classify_walk(pres, tuple(graph.letters[j] for j in word))
     if walk.kind != GBA:
         raise PresentationError("band witness construction failed")
     root = classify_walk(pres, walk.letters[:_period(walk.letters)])
@@ -582,7 +576,7 @@ def _bfs_path(edges, start, goal):
                     prev[v] = u
                     if v == goal:
                         path = [v]
-                        while path[-1] is not start:
+                        while path[-1] != start:
                             path.append(prev[path[-1]])
                         path.reverse()
                         return path
@@ -600,12 +594,12 @@ def parse_walk(pres, literal):
     chunks = [c.strip() for c in literal.split(",")]
     letters = []
     for chunk in chunks:
-        if not chunk:
-            raise PresentationError(f"empty letter in walk literal {literal!r}")
         inverse = chunk.startswith("~")
         body = chunk[1:] if inverse else chunk
-        names = [n.strip() for n in body.split(".") if n.strip()]
-        if not names:
+        if not body.strip():
             raise PresentationError(f"empty letter in walk literal {literal!r}")
+        names = [n.strip() for n in body.split(".")]
+        if not all(names):
+            raise PresentationError(f"empty arrow name in walk literal {literal!r}")
         letters.append(Letter(pres.path(names), inverse))
     return classify_walk(pres, letters)

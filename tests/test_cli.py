@@ -108,6 +108,13 @@ def test_discrete_verb():
     assert payload["band_witness"] == "a , ~b"
 
 
+def test_discrete_verb_golden_byte_exact():
+    for name in ("kronecker", "a0"):
+        code, out = run(["discrete", str(ROOT / "algebras" / f"{name}.alg")])
+        assert code == 0
+        assert out == (GOLDEN / f"{name}_discrete.json").read_text()
+
+
 def test_byte_order_mark_is_accepted(tmp_path):
     bom = tmp_path / "kronecker_bom.alg"
     bom.write_bytes(b"\xef\xbb\xbf" + Path(KR_FILE).read_bytes())
@@ -179,9 +186,15 @@ def test_input_errors_exit_one(tmp_path, capsys):
     empty.write_text("# declares nothing\n")
     not_utf8 = tmp_path / "not_utf8.alg"
     not_utf8.write_bytes(b"\xff\xfealgebra t\nvertices 1\n")
+    dotted = tmp_path / "dotted.alg"
+    dotted.write_text("vertices 1 2 3\narrow a.b : 1 -> 2\narrow ~c : 2 -> 3\nrel a.b ~c\n")
     power = ["--walk", "a , ~b , a , ~b", "--band"]
     for argv in (["validate", str(empty)],
                  ["validate", str(not_utf8)],
+                 ["validate", str(dotted)],
+                 # empty arrow names in a walk literal
+                 ["cohomology", A0_FILE, "--walk", "a1."],
+                 ["cohomology", A0_FILE, "--walk", "a3..a4"],
                  ["spectrum", A0_FILE, "--max-arrows", "-1"],
                  ["enumerate", A0_FILE, "--max-arrows", "-1"],
                  ["complex", KR_FILE] + power,
@@ -205,6 +218,8 @@ def test_input_errors_exit_one(tmp_path, capsys):
         error = json.loads(capsys.readouterr().err)["error"]
         if "a1 , a2" in argv:
             assert "junction 0" in error, argv
+        if "a1." in argv or "a3..a4" in argv:
+            assert "empty arrow name" in error, argv
     with pytest.raises(SystemExit) as help_exit:
         run(["--help"])
     assert help_exit.value.code == 0

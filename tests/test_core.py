@@ -33,6 +33,10 @@ def test_parse_rejects_non_composable_relation():
     ("vertices 1\narrow a : 1 -> 2\n", "unknown vertex"),
     ("vertices 1\nrel a b\n", "unknown arrow"),
     ("vertices 1\nbogus x\n", "unknown directive"),
+    # such names would make "a.b , ~c" read as a walk over arrows a, b and c
+    ("vertices 1 2\narrow a.b : 1 -> 2\n", "contains '.', ',' or '~'"),
+    ("vertices 1 2\narrow ~c : 1 -> 2\n", "contains '.', ',' or '~'"),
+    ("vertices 1 2\narrow c,d : 1 -> 2\n", "contains '.', ',' or '~'"),
 ])
 def test_parse_errors_carry_line_numbers(text, match):
     with pytest.raises(PresentationError, match=match) as err:

@@ -432,8 +432,8 @@ def test_path_basis_is_built_once_per_presentation(monkeypatch):
     pres = load(A0)
     calls = []
     real = core.path_basis
-    walks = enumerate_gst(pres, 6).walks
     monkeypatch.setattr(core, "path_basis", lambda p: calls.append(p) or real(p))
+    walks = enumerate_gst(pres, 6).walks
     for walk in walks:
         cohomology_dims(pres, string_complex(pres, walk))
     assert len(calls) == 1

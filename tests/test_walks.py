@@ -15,8 +15,7 @@ from gentle import (GBA, GST, INVALID, Letter, PresentationError,
                     parse_walk, rotate_walk, shorten_letter, truncate_first,
                     truncate_last)
 from gentle import walks
-from gentle.walks import (is_primitive, letter_universe, mu_profile,
-                          transition_edges)
+from gentle.walks import is_primitive, letter_graph, mu_profile
 
 from corpus import (A0, KRONECKER, RELATION_CYCLE, LINEAR_A5, full_corpus, load,
                     random_gentle)
@@ -155,21 +154,22 @@ def _enumerate_by_classification(pres, max_arrows):
     """The enumeration as first written: classify every prefix along the
     transition graph from scratch, make it canonical and dedupe by sort key.
     Returns (strings, bands, complete)."""
-    letters = letter_universe(pres)
-    edges = transition_edges(pres, letters)
+    graph = letter_graph(pres)
+    letters = graph.letters
     strings, bands = {}, {}
-    stack = [((l,), l.length) for l in letters if l.length <= max_arrows]
+    stack = [((j,), letters[j].length) for j in range(len(letters))
+             if letters[j].length <= max_arrows]
     while stack:
         prefix, used = stack.pop()
-        walk = classify_walk(pres, prefix)
+        walk = classify_walk(pres, [letters[j] for j in prefix])
         canon = canonical_string(pres, walk)
         strings.setdefault(canon.sort_key(), canon)
         if walk.kind == GBA and is_primitive(walk):
             canon = canonical_band(pres, walk)
             bands.setdefault(canon.sort_key(), canon)
-        for nxt in edges[prefix[-1]]:
-            if used + nxt.length <= max_arrows:
-                stack.append((prefix + (nxt,), used + nxt.length))
+        for nxt in graph.succ[prefix[-1]]:
+            if used + letters[nxt].length <= max_arrows:
+                stack.append((prefix + (nxt,), used + letters[nxt].length))
     longest = longest_walk_arrows(pres)
     return ([strings[k] for k in sorted(strings)], [bands[k] for k in sorted(bands)],
             longest is not None and longest <= max_arrows)
@@ -375,11 +375,59 @@ def test_walk_literals_round_trip():
             assert parse_walk(pres, walk.literal()) == walk
 
 
+def test_walk_literals_reject_empty_letters_and_arrow_names():
+    for literal in ("", "a1 , ", "~", "a1 , ~ , a3"):
+        with pytest.raises(PresentationError, match="empty letter"):
+            parse_walk(a0, literal)
+    for literal in ("a1.", "a3..a4", ".a3", "~a3. .a4"):
+        with pytest.raises(PresentationError, match="empty arrow name"):
+            parse_walk(a0, literal)
+    assert parse_walk(a0, " ~ a3 . a4 ").literal() == "~a3.a4"
+
+
 def test_transition_graph_edges_are_walk_legal():
-    edges = transition_edges(a0)
-    for src, dsts in edges.items():
+    graph = letter_graph(a0)
+    for src, dsts in zip(graph.letters, graph.succ):
         for dst in dsts:
-            assert classify_walk(a0, [src, dst]).kind in (GST, GBA)
+            assert classify_walk(a0, [src, graph.letters[dst]]).kind in (GST, GBA)
+
+
+def test_letter_graph_components_against_reachability():
+    """Tarjan's components, checked against reachability by search: they
+    partition the letters, two letters share one exactly when each reaches
+    the other, and each is listed after every component it reaches."""
+    for seed in range(100):
+        graph = letter_graph(random_gentle(seed))
+        n = len(graph.letters)
+        reach = []
+        for start in range(n):
+            seen, todo = set(), [start]
+            while todo:
+                for k in graph.succ[todo.pop()]:
+                    if k not in seen:
+                        seen.add(k)
+                        todo.append(k)
+            reach.append(seen)
+        where = {j: c for c, comp in enumerate(graph.components) for j in comp}
+        assert sorted(where) == list(range(n))
+        assert sum(map(len, graph.components)) == n, seed
+        for i in range(n):
+            for j in range(n):
+                mutual = i == j or (j in reach[i] and i in reach[j])
+                assert (where[i] == where[j]) == mutual, (seed, i, j)
+                if j in reach[i]:
+                    assert where[j] <= where[i], (seed, i, j)
+
+
+def test_letter_graph_is_built_once_per_presentation(monkeypatch):
+    from gentle import hl_spectrum, verify_counterexample_a0
+    builds = []
+    real = walks._sccs
+    monkeypatch.setattr(walks, "_sccs", lambda succ: builds.append(succ) or real(succ))
+    verify_counterexample_a0()
+    assert len(builds) == 1
+    hl_spectrum(random_gentle(5), 6, reduce_check=True)
+    assert len(builds) == 2
 
 
 @given(st.integers(0, 2**30))
