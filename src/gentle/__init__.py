@@ -2,8 +2,8 @@
 
 from .core import (Arrow, GentleReport, MaximalExtension, NotComposable, Path,
                    Presentation, PresentationError, compose, dim_projective,
-                   maximal_extension, maximal_path, parse_presentation,
-                   path_basis, validate_gentle)
+                   left_action, maximal_extension, maximal_path,
+                   parse_presentation, path_basis, validate_gentle)
 from .walks import (GBA, GST, INVALID, BarDescriptor, Enumeration, GenWalk,
                     Letter, canonical_band, canonical_string, classify_walk,
                     enumerate_gba, enumerate_gst, glue_bar, inverse_walk,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PresentationError, maximal_extension
+from .core import PresentationError, maximal_extension, maximal_path
 from .exact import rank
 from .walks import GST, GBA, classify_walk, glue_bar
 from .complexes import (check_band, differential_matrix, mu_minimal_rotation,
@@ -62,10 +62,9 @@ class CohVector:
 def cohomology_dims(pres, cx):
     """dim H^i = dim X^i - rank d^i - rank d^(i-1), by exact elimination."""
     degrees = cx.degrees()
-    ranks = {}
-    for deg in degrees:
-        matrix = differential_matrix(pres, cx, deg)
-        ranks[deg] = rank(matrix)
+    # a degree without a differential out of it contributes rank 0
+    ranks = {deg: rank(differential_matrix(pres, cx, deg))
+             for deg in degrees if deg in cx.diffs}
     dims = {}
     for deg in degrees:
         h = total_dimension(pres, cx, deg) - ranks.get(deg, 0) - ranks.get(deg - 1, 0)
@@ -133,7 +132,7 @@ def _kernel_count(pres, path):
     g = pres.relation_continuation(path.arrows[-1])
     if g is None:
         return 0
-    return maximal_extension(pres, pres.arrow_path(g)).tilde.length
+    return maximal_path(pres, g).length
 
 
 def node_sums(pres, walk):
@@ -196,7 +195,7 @@ def beta_window(pres, walk, steps):
     Returns (complex, info) where info records how many chain letters were
     attached on each side and whether the chains were exhausted.
     """
-    if walk.kind != GST:
+    if walk.kind not in (GST, GBA):
         raise PresentationError(f"beta_window needs a generalized string, got {walk.kind}")
     if steps < 0:
         raise PresentationError("steps must be >= 0")

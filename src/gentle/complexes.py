@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PresentationError, _vertex_basis, compose
+from .core import NotComposable, PresentationError, _vertex_basis, compose, left_action
 from .walks import GBA, GST, is_primitive, rotate_walk
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ def _walk_complex(pres, walk, nodes, lam, d, origin):
         vertex = walk.node_vertex(j)
         for copy in range(d):
             slot.append(Summand(vertex, j, copy))
-    one = Fraction(1)
     diffs = {}
     for j, letter in enumerate(walk.letters, start=1):
         src, dst = (j - 1, j) if letter.inverse else (j, j - 1)
@@ -73,14 +74,14 @@ def _walk_complex(pres, walk, nodes, lam, d, origin):
         assert mu[dst] == deg + 1
         row0, col0 = first[src % nodes], first[dst % nodes]
         closing = j == nodes
-        term = (letter.path, lam if closing else one)
+        term = (letter.path, lam if closing else _ONE)
         entries = diffs.setdefault(deg, {})
         for i in range(d):
             key = (row0 + i, col0 + i)
             entries[key] = entries.get(key, ()) + (term,)
             if closing and i + 1 < d:
                 key = (row0 + i, col0 + i + 1)
-                entries[key] = entries.get(key, ()) + ((letter.path, one),)
+                entries[key] = entries.get(key, ()) + ((letter.path, _ONE),)
     cx = ProjComplex({deg: tuple(s) for deg, s in summands.items()}, diffs,
                      origin=origin)
     _assert_d_squared_zero(pres, cx)
@@ -171,30 +172,34 @@ def check_minimal(cx):
 
 
 def differential_matrix(pres, cx, degree):
-    """The degree -> degree+1 differential expanded on path bases.
+    """The degree -> degree+1 differential expanded on path bases, as sparse
+    rows: one {column: entry} dict per row, empty for a zero row, so
+    ``len(rows)`` is the row count.
 
     Rows are indexed by basis paths of the degree+1 summands, columns by
-    basis paths of the degree summands, both in path_basis order.  Integral
-    scalars enter as ints, so a string complex expands to an int matrix.
+    basis paths of the degree summands, both in path_basis order.  Each
+    term fills its entries from the cached left action of its path, so the
+    cost follows the nonzeros.  Integral scalars enter as ints, so a string
+    complex expands to int entries.
     """
-    basis, pos = _vertex_basis(pres)
-    col_offsets, ncols = _slot_offsets(basis, cx.summands.get(degree, ()))
-    row_offsets, nrows = _slot_offsets(basis, cx.summands.get(degree + 1, ()))
-    matrix = [[0] * ncols for _ in range(nrows)]
+    basis, _ = _vertex_basis(pres)
+    srcs = cx.summands.get(degree, ())
+    dsts = cx.summands.get(degree + 1, ())
+    col_offsets, _ = _slot_offsets(basis, srcs)
+    row_offsets, nrows = _slot_offsets(basis, dsts)
+    rows = [{} for _ in range(nrows)]
     for (src_idx, dst_idx), terms in cx.diffs.get(degree, {}).items():
-        src = cx.summands[degree][src_idx]
-        dst = cx.summands[degree + 1][dst_idx]
+        src, dst = srcs[src_idx].vertex, dsts[dst_idx].vertex
+        col0, row0 = col_offsets[src_idx], row_offsets[dst_idx]
         for path, scalar in terms:
+            if path.target != src or path.source != dst:
+                raise NotComposable(f"{path.label()} does not map P_{src} to P_{dst}")
             if scalar.denominator == 1:
                 scalar = scalar.numerator
-            for k, u in enumerate(basis[src.vertex]):
-                image = compose(pres, path, u)
-                if image is None:
-                    continue
-                r = row_offsets[dst_idx] + pos[dst.vertex][image.arrows]
-                c = col_offsets[src_idx] + k
-                matrix[r][c] += scalar
-    return matrix
+            for k, image in left_action(pres, path):
+                row, col = rows[row0 + image], col0 + k
+                row[col] = row.get(col, 0) + scalar
+    return rows
 
 
 def _slot_offsets(basis, summands):

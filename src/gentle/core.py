@@ -115,6 +115,9 @@ class Presentation:
     _free_next: dict = field(default_factory=dict, repr=False)
     _basis: tuple | None = field(default=None, repr=False, compare=False)
     _extensions: dict = field(default_factory=dict, repr=False, compare=False)
+    _maximal: dict = field(default_factory=dict, repr=False, compare=False)
+    _actions: dict = field(default_factory=dict, repr=False, compare=False)
+    _bars: dict = field(default_factory=dict, repr=False, compare=False)
     _letter_graph: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -420,6 +423,22 @@ def compose(pres, p, q):
     return Path(p.source, q.target, p.arrows + q.arrows)
 
 
+def left_action(pres, path):
+    """Left multiplication by ``path`` on the path basis: a (k, position)
+    pair for each basis path u of P_t(path) with path.u nonzero, k indexing
+    u and position the product among the basis paths from s(path), both in
+    path_basis order.  Built once per path and presentation."""
+    action = pres._actions.get(path)
+    if action is None:
+        basis, pos = _vertex_basis(pres)
+        images = pos[path.source]
+        action = pres._actions[path] = tuple(
+            (k, images[image.arrows])
+            for k, u in enumerate(basis[path.target])
+            if (image := compose(pres, path, u)) is not None)
+    return action
+
+
 def maximal_extension(pres, p):
     """Maximal data of a nonzero path p of length >= 1, computed once per
     path and presentation."""
@@ -445,12 +464,16 @@ def _maximal_extension(pres, p):
 
 
 def maximal_path(pres, arrow_name):
-    """The longest relation-free path starting with the arrow ``arrow_name``."""
+    """The longest relation-free path starting with the arrow ``arrow_name``,
+    built once per arrow and presentation."""
     _require_validated(pres)
-    names = [arrow_name]
-    while (nxt := pres.free_continuation(names[-1])) is not None:
-        names.append(nxt)
-    return pres.path(names)
+    path = pres._maximal.get(arrow_name)
+    if path is None:
+        names = [arrow_name]
+        while (nxt := pres.free_continuation(names[-1])) is not None:
+            names.append(nxt)
+        path = pres._maximal[arrow_name] = pres.path(names)
+    return path
 
 
 def dim_projective(pres, v):

@@ -2,11 +2,11 @@
 
 Dimensions are the only observable of this library, so no floating point.
 The rank comes from row-by-row sparse elimination over Python ints and
-Fractions: each row is held as a dict of its nonzero entries and reduced
-against the pivot rows found so far, looked up by leading column (Davis,
-Direct Methods for Sparse Linear Systems, SIAM 2006).  A differential
-matrix has a few nonzeros per row, so the elimination follows the
-nonzeros, not the cube of the side.
+Fractions: each row arrives as a dict of its entries by column and is
+reduced against the pivot rows found so far, looked up by leading column
+(Davis, Direct Methods for Sparse Linear Systems, SIAM 2006).  A
+differential matrix has a few nonzeros per row, so the elimination follows
+the nonzeros, not the cube of the side.
 """
 from __future__ import annotations
 
@@ -14,10 +14,14 @@ from fractions import Fraction
 
 
 def rank(rows):
-    """Rank of a matrix given as a list of rows of int/Fraction entries."""
+    """Rank of a matrix given as a list of sparse rows: one {column: entry}
+    dict of int/Fraction entries per row, as ``differential_matrix`` returns
+    them.  Zero entries are skipped."""
     pivots = {}
     for row in rows:
-        vec = {col: x for col, x in enumerate(row) if x}
+        if not row:
+            continue
+        vec = {col: x for col, x in row.items() if x}
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)

@@ -84,7 +84,7 @@ def beta_witness(pres, walk, shift=0):
 def _beta_of(string):
     """The beta witness of a string witness's walk, read off its vector:
     beta erases the lowest degree of the walk and keeps the rest."""
-    return replace(string, kind="beta",
+    return Witness("beta", walk=string.walk, shift=string.shift,
                    cohomology=string.cohomology.drop_degree(min(string.walk.mu)))
 
 
@@ -393,24 +393,31 @@ def _candidate_plans(pres, walk, mask_degree=None):
 
 
 def _plan_witnesses(pres, plan):
+    """The plan's output, then its beta variant when that differs; the
+    variant is built only if the search reads on past the output."""
     if plan.kind == "stalk":
-        return [stalk_witness(pres, plan.letters[0])]
+        yield stalk_witness(pres, plan.letters[0])
+        return
     walk = classify_walk(pres, plan.letters)
     if walk.kind not in (GST, GBA):
-        return []
+        return
     if plan.kind == "beta":
-        return [beta_witness(pres, walk)]
+        yield beta_witness(pres, walk)
+        return
     out = string_witness(pres, walk)
+    yield out
     beta = _beta_of(out)
-    return [out] if beta.cohomology == out.cohomology else [out, beta]
+    if beta.cohomology != out.cohomology:
+        yield beta
 
 
 def _aligned(input_witness, out):
     """Record the shift matching the output's top degree to the input's."""
-    din = max((d for d, v in input_witness.cohomology.dims
-               if v == input_witness.hl), default=0)
-    dout = max((d for d, v in out.cohomology.dims if v == out.hl), default=0)
-    return replace(out, shift=dout - din)
+    def top(witness):
+        hl = witness.hl
+        return max((d for d, v in witness.cohomology.dims if v == hl), default=0)
+
+    return replace(out, shift=top(out) - top(input_witness))
 
 
 def _verified(pres, trace):
@@ -443,11 +450,10 @@ def _run_plans(pres, target_hl, plans, direction, input_witness):
     intermediates = []
 
     def fresh(plan):
-        key = (plan.kind, plan.letters)
-        if key in evaluated:
-            return False
-        evaluated.add(key)
-        return True
+        # the set grows exactly when the key is new: one hash per plan
+        seen = len(evaluated)
+        evaluated.add((plan.kind, plan.letters))
+        return len(evaluated) > seen
 
     def proposals():
         """(plan, trace steps, plan to evaluate): the plans, then the plans

@@ -118,10 +118,14 @@ def classify_walk(pres, letters):
     letters = tuple(letters)
     if not letters:
         raise PresentationError("a generalized walk needs at least one letter")
+    # A basis path from the letter's source is a path of the algebra; only
+    # a letter that is not one is rebuilt, to raise the reason.
+    pos = _vertex_basis(pres)[1] if pres.validated else {}
     for l in letters:
         if l.path.is_trivial():
             raise PresentationError("letters carry paths of length >= 1")
-        pres.path(l.path.arrows)  # raises if not a path of the algebra
+        if l.path.arrows not in pos.get(l.path.source, ()):
+            pres.path(l.path.arrows)  # raises if not a path of the algebra
     mu = mu_profile(letters)
     for i, (a, b) in enumerate(zip(letters, letters[1:])):
         reason = junction_reason(pres, a, b)
@@ -262,7 +266,15 @@ class BarDescriptor:
 
 
 def glue_bar(pres, alpha):
-    """The chain alpha, a1, a2, ... with alpha.a1 and ai.a(i+1) relations."""
+    """The chain alpha, a1, a2, ... with alpha.a1 and ai.a(i+1) relations,
+    built once per path and presentation."""
+    bar = pres._bars.get(alpha)
+    if bar is None:
+        bar = pres._bars[alpha] = _glue_bar(pres, alpha)
+    return bar
+
+
+def _glue_bar(pres, alpha):
     if alpha.is_trivial():
         raise PresentationError("glue_bar needs a path of length >= 1")
     chain = [Letter(alpha)]

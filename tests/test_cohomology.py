@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from gentle import (CohVector, band_complex, band_sums, beta_cohomology, beta_window,
+from gentle import (GBA, CohVector, band_complex, band_sums, beta_cohomology, beta_window,
                     cohomology_dims, dim_projective, enumerate_gba,
                     enumerate_gst, node_contributions, node_sums,
                     parse_walk, stalk_complex, string_complex)
@@ -106,18 +106,36 @@ def test_beta_window_periodic_chain_repeats():
         assert vec[-steps - 1] == 1
 
 
+def _windows_agree_with_beta_rule(pres, walk):
+    """Check the 1-, 2- and 3-step windows of a walk with kernel at its
+    bottom degree against the beta rule; False when there is no kernel."""
+    cx0 = string_complex(pres, walk)
+    bottom = min(cx0.degrees())
+    if cohomology_dims(pres, cx0).as_dict().get(bottom, 0) == 0:
+        return False
+    expected = beta_cohomology(pres, walk)
+    for steps in (1, 2, 3):
+        window = cohomology_dims(pres, beta_window(pres, walk, steps)[0])
+        visible = {d: v for d, v in window.as_dict().items() if d >= bottom}
+        assert visible == expected.as_dict(), (walk.literal(), steps)
+    return True
+
+
 def test_beta_window_agrees_with_beta_rule():
     for pres in (a0, cyc, load(TWO_RELATION_CHAIN)):
         for walk in enumerate_gst(pres, 5).walks:
-            cx0 = string_complex(pres, walk)
-            bottom = min(cx0.degrees())
-            if cohomology_dims(pres, cx0).as_dict().get(bottom, 0) == 0:
-                continue
-            expected = beta_cohomology(pres, walk)
-            for steps in (1, 2, 3):
-                window = cohomology_dims(pres, beta_window(pres, walk, steps)[0])
-                visible = {d: v for d, v in window.as_dict().items() if d >= bottom}
-                assert visible == expected.as_dict(), (walk.literal(), steps)
+            _windows_agree_with_beta_rule(pres, walk)
+
+
+def test_beta_window_accepts_closed_walks():
+    # enumerate_gst returns a closed walk with kind GBA; its windows are
+    # string complexes all the same
+    checked = 0
+    for pres in full_corpus():
+        for walk in enumerate_gst(pres, 6).walks:
+            if walk.kind == GBA:
+                checked += _windows_agree_with_beta_rule(pres, walk)
+    assert checked == 11
 
 
 # --- the closed form against the rank oracle --------------------------------

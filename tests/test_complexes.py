@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gentle import (band_complex, brutal_truncate, check_minimal,
+from gentle import (NotComposable, band_complex, brutal_truncate, check_minimal,
                     cohomology_dims, complex_to_json,
                     differential_matrix, enumerate_gba,
                     enumerate_gst, inverse_walk, parse_walk, shift,
@@ -124,16 +124,29 @@ def test_check_minimal_flags_identity_entries():
 
 def test_differential_matrix_a1():
     cx = string_complex(a0, parse_walk(a0, "a1"))
-    matrix = differential_matrix(a0, cx, -1)
-    assert len(matrix) == 3 and len(matrix[0]) == 6
-    assert rank(matrix) == 2
+    rows = differential_matrix(a0, cx, -1)
+    assert len(rows) == total_dimension(a0, cx, 0) == 3
+    assert total_dimension(a0, cx, -1) == 6
+    assert all(col < 6 for row in rows for col in row)
+    assert rank(rows) == 2
 
 
 def test_differential_matrix_band():
     cx = band_complex(kron, parse_walk(kron, "a , ~b"), 1, 1)
-    matrix = differential_matrix(kron, cx, 0)
-    assert len(matrix) == 3 and len(matrix[0]) == 1
-    assert rank(matrix) == 1
+    rows = differential_matrix(kron, cx, 0)
+    assert len(rows) == total_dimension(kron, cx, 1) == 3
+    assert total_dimension(kron, cx, 0) == 1
+    assert all(col < 1 for row in rows for col in row)
+    assert rank(rows) == 1
+
+
+def test_differential_matrix_rejects_entries_off_their_summands():
+    a1 = a0.path(["a1"])  # 1 -> 2: maps P_2 into P_1
+    for col, row in (("3", "1"), ("2", "4")):
+        cx = ProjComplex({0: (Summand(col, 0),), 1: (Summand(row, 1),)},
+                         {0: {(0, 0): ((a1, Fraction(1)),)}})
+        with pytest.raises(NotComposable):
+            differential_matrix(a0, cx, 0)
 
 
 def test_zero_differential_matrix():

@@ -1,8 +1,8 @@
 import pytest
 
 from gentle import (NotComposable, PresentationError, compose, dim_projective,
-                    maximal_extension, maximal_path, parse_presentation,
-                    path_basis, validate_gentle)
+                    left_action, maximal_extension, maximal_path,
+                    parse_presentation, path_basis, validate_gentle)
 
 from corpus import A0, KRONECKER, full_corpus, load
 
@@ -176,6 +176,7 @@ def test_maximal_path_is_the_maximal_extension_of_its_arrow():
         for a in pres.arrows:
             tilde = maximal_extension(pres, pres.arrow_path(a.name)).tilde
             assert maximal_path(pres, a.name) == tilde
+            assert maximal_path(pres, a.name) is maximal_path(pres, a.name)
 
 
 def test_compose_relation_and_identity():
@@ -214,3 +215,16 @@ def test_dim_projective_equals_basis_count_everywhere():
 
 def test_a0_sink_has_dimension_one():
     assert dim_projective(load(A0), "7") == 1
+
+
+def test_left_action_agrees_with_compose():
+    for pres in full_corpus():
+        basis = path_basis(pres)
+        for path in basis:
+            targets = [u for u in basis if u.source == path.target]
+            images = [p for p in basis if p.source == path.source]
+            expected = tuple((k, images.index(compose(pres, path, u)))
+                             for k, u in enumerate(targets)
+                             if compose(pres, path, u) is not None)
+            assert left_action(pres, path) == expected, path
+            assert left_action(pres, path) is left_action(pres, path)

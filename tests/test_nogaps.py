@@ -483,3 +483,14 @@ def test_large_multiplicity_band_stays_fast():
     assert dims == band_sums(kron, band, 400) == CohVector.from_dict({1: 800})
     assert reduce_band(kron, band, Fraction(1, 2), 400).output.hl == 799
     assert time.perf_counter() - start < 1
+
+
+def test_band_rank_pays_only_for_nonzeros():
+    # at d = 2000 the degree-0 differential has 6000 x 2000 cells and at
+    # most two nonzeros per row: allocating the cells alone overruns the bound
+    band = parse_walk(kron, "a , ~b")
+    cx = band_complex(kron, band, Fraction(1, 2), 2000)
+    start = time.perf_counter()
+    dims = cohomology_dims(kron, cx)
+    assert time.perf_counter() - start < 0.25
+    assert dims == band_sums(kron, band, 2000) == CohVector.from_dict({1: 4000})

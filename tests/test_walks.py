@@ -8,12 +8,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentle import (GBA, GST, INVALID, Letter, PresentationError,
+from gentle import (GBA, GST, INVALID, Letter, Path, PresentationError,
                     canonical_band, canonical_string, classify_walk,
                     enumerate_gba, enumerate_gst, glue_bar, inverse_walk,
                     is_derived_discrete, is_string, longest_walk_arrows,
-                    parse_walk, rotate_walk, shorten_letter, truncate_first,
-                    truncate_last)
+                    parse_presentation, parse_walk, rotate_walk,
+                    shorten_letter, truncate_first, truncate_last)
 from gentle import walks
 from gentle.walks import is_primitive, letter_graph, mu_profile
 
@@ -53,6 +53,20 @@ def test_classify_kronecker_band():
 def test_trivial_path_letters_are_rejected():
     with pytest.raises(PresentationError):
         classify_walk(a0, [Letter(a0.trivial_path("1"), False)])
+
+
+def test_letters_off_the_algebra_raise_the_path_error():
+    # the same text as Presentation.path, on a validated presentation and
+    # on one that was never validated
+    for pres in (a0, parse_presentation(A0)):
+        for source, target, arrows, message in (
+                ("1", "4", ("a1", "a3"), "path hits the relation a1.a3"),
+                ("1", "5", ("a1", "a4"), "arrows a1 and a4 do not compose"),
+                ("1", "2", ("zz",), "unknown arrow 'zz'")):
+            with pytest.raises(PresentationError) as err:
+                classify_walk(pres, [Letter(Path(source, target, arrows))])
+            assert str(err.value) == message
+        assert classify_walk(pres, letters(a0, [("a1", False), ("a3", False)])).kind == GST
 
 
 def test_backtracking_is_invalid():
@@ -332,6 +346,7 @@ def test_glue_bar_examples():
     assert len(bar.period) == 3
     head = [l.literal() for l in bar.letters(7)]
     assert head == ["x", "y", "z", "x", "y", "z", "x"]
+    assert glue_bar(cyc, cyc.path(["x"])) is bar
 
 
 def test_glue_bar_steps_are_unique():
