@@ -7,7 +7,9 @@ per vertex) form a basis of kQ/I.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import wraps
 
 
 class PresentationError(ValueError):
@@ -98,9 +100,11 @@ class MaximalExtension:
 class Presentation:
     """A quiver with length-two monomial relations.
 
-    Lookup tables are precomputed; ``validated`` is set by
-    :func:`validate_gentle` and gates the operations that rely on
-    gentleness (unique continuations, finite path basis).
+    The fields are the inputs; lookup tables derived from them are built
+    here, and the ``_memo`` of :func:`per_presentation` starts empty.
+    ``validated`` is set by :func:`validate_gentle` and gates the
+    operations that rely on gentleness (unique continuations, finite path
+    basis).
     """
 
     name: str
@@ -108,19 +112,9 @@ class Presentation:
     arrows: tuple[Arrow, ...]
     relations: frozenset[tuple[str, str]]
     validated: bool = False
-    _arrow_by_name: dict = field(default_factory=dict, repr=False)
-    _out: dict = field(default_factory=dict, repr=False)
-    _in: dict = field(default_factory=dict, repr=False)
-    _relation_next: dict = field(default_factory=dict, repr=False)
-    _free_next: dict = field(default_factory=dict, repr=False)
-    _basis: tuple | None = field(default=None, repr=False, compare=False)
-    _extensions: dict = field(default_factory=dict, repr=False, compare=False)
-    _maximal: dict = field(default_factory=dict, repr=False, compare=False)
-    _actions: dict = field(default_factory=dict, repr=False, compare=False)
-    _bars: dict = field(default_factory=dict, repr=False, compare=False)
-    _letter_graph: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        self._memo = defaultdict(dict)
         self._arrow_by_name = {a.name: a for a in self.arrows}
         self._out = {v: [] for v in self.vertices}
         self._in = {v: [] for v in self.vertices}
@@ -370,6 +364,26 @@ def _is_connected(pres):
     return len(seen) == len(pres.vertices)
 
 
+def per_presentation(build):
+    """Run ``build(pres, *key)`` once per presentation and key.
+
+    The result is kept in the presentation's ``_memo`` under the builder
+    and the key, so every later call returns the same object; a build that
+    raises stores nothing."""
+
+    @wraps(build)
+    def cached(pres, *key):
+        memo = pres._memo[build]
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = memo[key] = build(pres, *key)
+        return value
+
+    return cached
+
+
 def _require_validated(pres):
     if not pres.validated:
         raise PresentationError(
@@ -397,17 +411,15 @@ def path_basis(pres):
     return out
 
 
+@per_presentation
 def _vertex_basis(pres):
     """(basis, pos): the path basis grouped by source vertex in path_basis
-    order, and each path's position in its group keyed by its arrows.
-    Built once per presentation."""
-    if pres._basis is None:
-        basis = {v: [] for v in pres.vertices}
-        for p in path_basis(pres):
-            basis[p.source].append(p)
-        pos = {v: {p.arrows: k for k, p in enumerate(ps)} for v, ps in basis.items()}
-        pres._basis = (basis, pos)
-    return pres._basis
+    order, and each path's position in its group keyed by its arrows."""
+    basis = {v: [] for v in pres.vertices}
+    for p in path_basis(pres):
+        basis[p.source].append(p)
+    pos = {v: {p.arrows: k for k, p in enumerate(ps)} for v, ps in basis.items()}
+    return basis, pos
 
 
 def compose(pres, p, q):
@@ -423,32 +435,22 @@ def compose(pres, p, q):
     return Path(p.source, q.target, p.arrows + q.arrows)
 
 
+@per_presentation
 def left_action(pres, path):
     """Left multiplication by ``path`` on the path basis: a (k, position)
     pair for each basis path u of P_t(path) with path.u nonzero, k indexing
     u and position the product among the basis paths from s(path), both in
-    path_basis order.  Built once per path and presentation."""
-    action = pres._actions.get(path)
-    if action is None:
-        basis, pos = _vertex_basis(pres)
-        images = pos[path.source]
-        action = pres._actions[path] = tuple(
-            (k, images[image.arrows])
-            for k, u in enumerate(basis[path.target])
-            if (image := compose(pres, path, u)) is not None)
-    return action
+    path_basis order."""
+    basis, pos = _vertex_basis(pres)
+    images = pos[path.source]
+    return tuple((k, images[image.arrows])
+                 for k, u in enumerate(basis[path.target])
+                 if (image := compose(pres, path, u)) is not None)
 
 
+@per_presentation
 def maximal_extension(pres, p):
-    """Maximal data of a nonzero path p of length >= 1, computed once per
-    path and presentation."""
-    ext = pres._extensions.get(p)
-    if ext is None:
-        ext = pres._extensions[p] = _maximal_extension(pres, p)
-    return ext
-
-
-def _maximal_extension(pres, p):
+    """Maximal data of a nonzero path p of length >= 1."""
     _require_validated(pres)
     if p.is_trivial():
         raise PresentationError("maximal_extension needs a path of length >= 1")
@@ -463,17 +465,14 @@ def _maximal_extension(pres, p):
     return MaximalExtension(tilde, hat, check)
 
 
+@per_presentation
 def maximal_path(pres, arrow_name):
-    """The longest relation-free path starting with the arrow ``arrow_name``,
-    built once per arrow and presentation."""
+    """The longest relation-free path starting with the arrow ``arrow_name``."""
     _require_validated(pres)
-    path = pres._maximal.get(arrow_name)
-    if path is None:
-        names = [arrow_name]
-        while (nxt := pres.free_continuation(names[-1])) is not None:
-            names.append(nxt)
-        path = pres._maximal[arrow_name] = pres.path(names)
-    return path
+    names = [arrow_name]
+    while (nxt := pres.free_continuation(names[-1])) is not None:
+        names.append(nxt)
+    return pres.path(names)
 
 
 def dim_projective(pres, v):

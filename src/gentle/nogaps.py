@@ -72,13 +72,12 @@ class Witness:
         return out
 
 
-def string_witness(pres, walk, shift=0):
-    return Witness("string", walk=walk, shift=shift, cohomology=node_sums(pres, walk))
+def string_witness(pres, walk):
+    return Witness("string", walk=walk, cohomology=node_sums(pres, walk))
 
 
-def beta_witness(pres, walk, shift=0):
-    vec = node_sums(pres, walk).drop_degree(min(walk.mu))
-    return Witness("beta", walk=walk, shift=shift, cohomology=vec)
+def beta_witness(pres, walk):
+    return _beta_of(string_witness(pres, walk))
 
 
 def _beta_of(string):
@@ -88,15 +87,15 @@ def _beta_of(string):
                    cohomology=string.cohomology.drop_degree(min(string.walk.mu)))
 
 
-def band_witness(pres, walk, lam=1, mult=1, shift=0):
+def band_witness(pres, walk, lam=1, mult=1):
     lam = check_band(walk, lam, mult)
-    return Witness("band", walk=walk, lam=lam, mult=mult, shift=shift,
+    return Witness("band", walk=walk, lam=lam, mult=mult,
                    cohomology=band_sums(pres, walk, mult))
 
 
-def stalk_witness(pres, vertex, shift=0):
+def stalk_witness(pres, vertex):
     vec = CohVector.from_dict({0: dim_projective(pres, vertex)})
-    return Witness("stalk", vertex=vertex, shift=shift, cohomology=vec)
+    return Witness("stalk", vertex=vertex, cohomology=vec)
 
 
 @dataclass(frozen=True)
@@ -236,9 +235,9 @@ def _prepend_plans(pres, side, tag, target, steps, rest):
 
 def _other_arrow(pres, letter):
     """An arrow leaving the source of a direct letter other than its first
-    arrow, or None."""
-    return next((a.name for a in pres.out_arrows(letter.source)
-                 if a.name != letter.path.arrows[0]), None)
+    arrow, or None: the first arrow of the other maximal path there."""
+    check = maximal_extension(pres, letter.path).check
+    return check.arrows[0] if check is not None else None
 
 
 def _one_sided(walk):
@@ -500,14 +499,15 @@ def reduce_string(pres, walk, negative=False):
     """A verified witness of length hl(P_walk) - 1 for a width >= 1 string."""
     if walk.kind not in (GST, GBA):
         raise PresentationError(f"reduce_string needs a generalized string, got {walk.kind}")
-    return _search(pres, string_witness(pres, walk), negative, mask=False)
+    return _search(pres, string_witness(pres, walk), negative)
 
 
-def _search(pres, witness, negative, mask):
+def _search(pres, witness, negative):
     """The plan search on the walk, then on its inverse (the other way
-    round when ``negative``).  ``mask`` reads lengths with the walk's lowest
-    degree erased, as for a beta witness."""
+    round when ``negative``).  A beta witness's lengths are read with the
+    walk's lowest degree erased."""
     walk = witness.walk
+    mask = witness.kind == "beta"
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
@@ -531,12 +531,12 @@ def reduce_beta(pres, walk, negative=False):
 def _reduce_beta(pres, plain, negative):
     witness = _beta_of(plain)
     if plain.hl == witness.hl:
-        trace = _search(pres, plain, negative, mask=False)
+        trace = _search(pres, plain, negative)
         return ReductionTrace(witness, "BETA_TRUNCATION", trace.target_node,
                               trace.direction,
                               ("reduce the underlying string",) + trace.surgery,
                               trace.output)
-    return replace(_search(pres, witness, negative, mask=True), case_tag="BETA_TRUNCATION")
+    return replace(_search(pres, witness, negative), case_tag="BETA_TRUNCATION")
 
 
 def reduce_band(pres, walk, lam=1, mult=1, negative=False):

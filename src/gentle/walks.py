@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Path, PresentationError, _vertex_basis
+from .core import Path, PresentationError, _vertex_basis, per_presentation
 
 GST = "GST"
 GBA = "GBA"
@@ -265,16 +265,9 @@ class BarDescriptor:
         return out[:count]
 
 
+@per_presentation
 def glue_bar(pres, alpha):
-    """The chain alpha, a1, a2, ... with alpha.a1 and ai.a(i+1) relations,
-    built once per path and presentation."""
-    bar = pres._bars.get(alpha)
-    if bar is None:
-        bar = pres._bars[alpha] = _glue_bar(pres, alpha)
-    return bar
-
-
-def _glue_bar(pres, alpha):
+    """The chain alpha, a1, a2, ... with alpha.a1 and ai.a(i+1) relations."""
     if alpha.is_trivial():
         raise PresentationError("glue_bar needs a path of length >= 1")
     chain = [Letter(alpha)]
@@ -315,34 +308,33 @@ class LetterGraph:
     longest: int | None
 
 
+@per_presentation
 def letter_graph(pres):
-    """The presentation's letter graph, built once."""
-    if pres._letter_graph is None:
-        letters = sorted((Letter(p, inverse) for paths in _vertex_basis(pres)[0].values()
-                          for p in paths if p.length >= 1 for inverse in (False, True)),
-                         key=Letter.sort_key)
-        position = {l: j for j, l in enumerate(letters)}
-        by_source = {}
-        for j, l in enumerate(letters):
-            by_source.setdefault(l.source, []).append(j)
-        succ = tuple(tuple(k for k in by_source.get(a.target, ())
-                           if junction_reason(pres, a, letters[k]) is None) for a in letters)
-        length = tuple(l.length for l in letters)
-        components = _sccs(succ)
-        # Tarjan's order settles each letter's successors before the letter.
-        best = [0] * len(letters)
-        for comp in components:
-            if _cyclic(succ, comp):
-                longest = None
-                break
-            j = comp[0]
-            best[j] = length[j] + max((best[k] for k in succ[j]), default=0)
-        else:
-            longest = max(best, default=0)
-        pres._letter_graph = LetterGraph(
-            tuple(letters), succ, tuple(position[l.inverted()] for l in letters),
-            length, tuple(l.step for l in letters), components, longest)
-    return pres._letter_graph
+    """The presentation's letter graph."""
+    letters = sorted((Letter(p, inverse) for paths in _vertex_basis(pres)[0].values()
+                      for p in paths if p.length >= 1 for inverse in (False, True)),
+                     key=Letter.sort_key)
+    position = {l: j for j, l in enumerate(letters)}
+    by_source = {}
+    for j, l in enumerate(letters):
+        by_source.setdefault(l.source, []).append(j)
+    succ = tuple(tuple(k for k in by_source.get(a.target, ())
+                       if junction_reason(pres, a, letters[k]) is None) for a in letters)
+    length = tuple(l.length for l in letters)
+    components = _sccs(succ)
+    # Tarjan's order settles each letter's successors before the letter.
+    best = [0] * len(letters)
+    for comp in components:
+        if _cyclic(succ, comp):
+            longest = None
+            break
+        j = comp[0]
+        best[j] = length[j] + max((best[k] for k in succ[j]), default=0)
+    else:
+        longest = max(best, default=0)
+    return LetterGraph(
+        tuple(letters), succ, tuple(position[l.inverted()] for l in letters),
+        length, tuple(l.step for l in letters), components, longest)
 
 
 def _cyclic(succ, comp):

@@ -228,3 +228,26 @@ def test_left_action_agrees_with_compose():
                              if compose(pres, path, u) is not None)
             assert left_action(pres, path) == expected, path
             assert left_action(pres, path) is left_action(pres, path)
+
+
+def test_presentation_fields_are_its_inputs_and_facts_are_kept_per_presentation():
+    from dataclasses import fields
+    from gentle import core, walks
+    assert [f.name for f in fields(core.Presentation)] == [
+        "name", "vertices", "arrows", "relations", "validated"]
+    used, fresh = load(A0), load(A0)
+    a1, a3 = used.path(["a1"]), used.path(["a3"])
+    builders = [
+        core._vertex_basis,
+        lambda pres: left_action(pres, a1),
+        lambda pres: maximal_extension(pres, a3),
+        lambda pres: maximal_path(pres, "a3"),
+        lambda pres: walks.glue_bar(pres, a1),
+        walks.letter_graph,
+    ]
+    built = [build(used) for build in builders]
+    assert used == fresh
+    for build, value in zip(builders, built):
+        assert build(used) is value
+        other = build(fresh)
+        assert other is not value and other == value

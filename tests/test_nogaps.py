@@ -444,13 +444,14 @@ def test_maximal_extension_is_computed_once_per_path(monkeypatch):
     from corpus import random_gentle
     pres = random_gentle(5)
     calls = {}
-    real = core._maximal_extension
+    real = core.MaximalExtension
 
-    def counted(p, path):
-        calls[path] = calls.get(path, 0) + 1
-        return real(p, path)
+    def counted(tilde, hat, check):
+        # tilde = path . hat, so (tilde, hat) names the path
+        calls[tilde, hat] = calls.get((tilde, hat), 0) + 1
+        return real(tilde, hat, check)
 
-    monkeypatch.setattr(core, "_maximal_extension", counted)
+    monkeypatch.setattr(core, "MaximalExtension", counted)
     witness_family(pres, 8)
     assert calls and max(calls.values()) == 1
 
