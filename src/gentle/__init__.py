@@ -1,9 +1,9 @@
 """Combinatorics of complexes of projectives over gentle algebras."""
 
-from .core import (Arrow, GentleReport, MaximalExtension, NotComposable, Path,
-                   Presentation, PresentationError, compose, dim_projective,
-                   left_action, maximal_extension, maximal_path,
-                   parse_presentation, path_basis, validate_gentle)
+from .core import (Arrow, GentleReport, NotComposable, Path, Presentation,
+                   PresentationError, compose, dim_projective, left_action,
+                   maximal_path, other_maximal_path, parse_presentation,
+                   path_basis, validate_gentle)
 from .walks import (GBA, GST, INVALID, BarDescriptor, Enumeration, GenWalk,
                     Letter, canonical_band, canonical_string, classify_walk,
                     enumerate_gba, enumerate_gst, glue_bar, inverse_walk,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PresentationError, maximal_extension, maximal_path
+from .core import PresentationError, maximal_path, other_maximal_path
 from .exact import rank
 from .walks import GST, GBA, classify_walk, glue_bar
 from .complexes import (check_band, differential_matrix, mu_minimal_rotation,
@@ -123,8 +123,8 @@ def node_contributions(pres, walk):
 
 def _cokernel_count(pres, path):
     """dim P_s(path) - dim (path . P) = l(path) + l(check)."""
-    ext = maximal_extension(pres, path)
-    return path.length + ext.check_length
+    check = other_maximal_path(pres, path.arrows[0])
+    return path.length + (check.length if check is not None else 0)
 
 
 def _kernel_count(pres, path):

@@ -82,20 +82,6 @@ class GentleReport:
         }
 
 
-@dataclass(frozen=True)
-class MaximalExtension:
-    """The unique maximal path ``tilde = p . hat`` extending p, plus the
-    other maximal path ``check`` out of s(p) when a second arrow exists."""
-
-    tilde: Path
-    hat: Path
-    check: Path | None
-
-    @property
-    def check_length(self):
-        return self.check.length if self.check is not None else 0
-
-
 @dataclass
 class Presentation:
     """A quiver with length-two monomial relations.
@@ -449,23 +435,6 @@ def left_action(pres, path):
 
 
 @per_presentation
-def maximal_extension(pres, p):
-    """Maximal data of a nonzero path p of length >= 1."""
-    _require_validated(pres)
-    if p.is_trivial():
-        raise PresentationError("maximal_extension needs a path of length >= 1")
-    nxt = pres.free_continuation(p.arrows[-1])
-    if nxt is None:
-        hat, tilde = pres.trivial_path(p.target), p
-    else:
-        hat = maximal_path(pres, nxt)
-        tilde = Path(p.source, hat.target, p.arrows + hat.arrows)
-    others = [a for a in pres.out_arrows(p.source) if a.name != p.arrows[0]]
-    check = maximal_path(pres, others[0].name) if others else None
-    return MaximalExtension(tilde, hat, check)
-
-
-@per_presentation
 def maximal_path(pres, arrow_name):
     """The longest relation-free path starting with the arrow ``arrow_name``."""
     _require_validated(pres)
@@ -473,6 +442,17 @@ def maximal_path(pres, arrow_name):
     while (nxt := pres.free_continuation(names[-1])) is not None:
         names.append(nxt)
     return pres.path(names)
+
+
+@per_presentation
+def other_maximal_path(pres, arrow_name):
+    """The maximal path from the other arrow out of the source of the arrow
+    ``arrow_name``, or None: the check path of every path starting with
+    that arrow."""
+    _require_validated(pres)
+    others = [a for a in pres.out_arrows(pres.arrow(arrow_name).source)
+              if a.name != arrow_name]
+    return maximal_path(pres, others[0].name) if others else None
 
 
 def dim_projective(pres, v):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (PresentationError, dim_projective, maximal_extension, maximal_path,
+from .core import (PresentationError, dim_projective, maximal_path, other_maximal_path,
                    parse_presentation, validate_gentle)
 from .walks import (GBA, GST, Letter, classify_walk, enumerate_gba,
                     enumerate_gst, glue_bar, inverse_walk, is_derived_discrete,
@@ -87,6 +87,14 @@ def _beta_of(string):
                    cohomology=string.cohomology.drop_degree(min(string.walk.mu)))
 
 
+def _with_beta(string):
+    """A string witness, then its beta variant when beta erases something."""
+    yield string
+    beta = _beta_of(string)
+    if beta.cohomology != string.cohomology:
+        yield beta
+
+
 def band_witness(pres, walk, lam=1, mult=1):
     lam = check_band(walk, lam, mult)
     return Witness("band", walk=walk, lam=lam, mult=mult,
@@ -122,15 +130,16 @@ class ReductionTrace:
 # target selection
 
 
-def _positive_candidates(pres, walk, mask_degree=None):
+def _positive_candidates(pres, witness):
     """First nonzero summand of each realizing degree, farthest first.
 
     Cutting away the walk prefix keeps the target degree's later summands
     and destroys at least one unit in every other realizing degree, so the
     farthest first-summand is the canonical positive-direction target.
-    ``mask_degree`` drops one degree from the reading (the beta-erased
-    bottom of a resolution witness).
+    A beta witness is read with the lowest degree of its walk erased.
     """
+    walk = witness.walk
+    mask_degree = min(walk.mu) if witness.kind == "beta" else None
     contribs = node_contributions(pres, walk)
     masses = {}
     for deg, c in contribs.values():
@@ -236,7 +245,7 @@ def _prepend_plans(pres, side, tag, target, steps, rest):
 def _other_arrow(pres, letter):
     """An arrow leaving the source of a direct letter other than its first
     arrow, or None: the first arrow of the other maximal path there."""
-    check = maximal_extension(pres, letter.path).check
+    check = other_maximal_path(pres, letter.path.arrows[0])
     return check.arrows[0] if check is not None else None
 
 
@@ -253,10 +262,10 @@ def _end_plans(pres, side, letters, q, one_sided):
     first = letters[0]
     tag = "ONE_SIDED_i0" if one_sided else "GENERAL_Q"
     if not first.inverse:
-        ext = maximal_extension(pres, first.path)
-        if ext.check is not None:
+        check = other_maximal_path(pres, first.path.arrows[0])
+        if check is not None:
             yield _glued(pres, side, tag, q, [],
-                         f"the other maximal path {ext.check.label()}", ext.check, letters)
+                         f"the other maximal path {check.label()}", check, letters)
         if first.length >= 2:
             rest = (shorten_letter(pres, first, 1),) + letters[1:]
             steps = [f"truncate {side.first} arrow of the {side.first} letter"]
@@ -332,7 +341,7 @@ def _local_plans(pres, walk, q):
             rest = letters[q:]
             yield from _prepend_plans(pres, _START, tag, q,
                                       [f"consume letter {q}", "discard the prefix"], rest)
-            check = maximal_extension(pres, before.path).check if turn else None
+            check = other_maximal_path(pres, before.path.arrows[0]) if turn else None
             if check is not None:
                 yield _glued(pres, _START, tag, q, [f"consume letter {q}"],
                              check.label(), check, rest)
@@ -383,8 +392,9 @@ def _stalk_plans(pres, walk, contribs, masses, top):
         yield _plan("GENERAL_Q", 0, [f"brutal truncation to the projective at {v}"], "stalk", (v,))
 
 
-def _candidate_plans(pres, walk, mask_degree=None):
-    ordered, contribs, masses, top = _positive_candidates(pres, walk, mask_degree)
+def _candidate_plans(pres, witness):
+    walk = witness.walk
+    ordered, contribs, masses, top = _positive_candidates(pres, witness)
     for q in ordered:
         yield from _local_plans(pres, walk, q)
     yield from _cut_plans(pres, walk)
@@ -403,11 +413,7 @@ def _plan_witnesses(pres, plan):
     if plan.kind == "beta":
         yield beta_witness(pres, walk)
         return
-    out = string_witness(pres, walk)
-    yield out
-    beta = _beta_of(out)
-    if beta.cohomology != out.cohomology:
-        yield beta
+    yield from _with_beta(string_witness(pres, walk))
 
 
 def _aligned(input_witness, out):
@@ -467,8 +473,7 @@ def _run_plans(pres, target_hl, plans, direction, input_witness):
             seen.add(key)
             if len(seen) > 25:
                 break
-            mid_mask = min(mid.walk.mu) if mid.kind == "beta" else None
-            for inner in filter(fresh, _candidate_plans(pres, mid.walk, mid_mask)):
+            for inner in filter(fresh, _candidate_plans(pres, mid)):
                 yield plan, plan.steps + ("then, on the intermediate walk:",) + inner.steps, inner
 
     for plan, steps, proposal in proposals():
@@ -503,22 +508,20 @@ def reduce_string(pres, walk, negative=False):
 
 
 def _search(pres, witness, negative):
-    """The plan search on the walk, then on its inverse (the other way
+    """The plan search on the witness, then on its inverse (the other way
     round when ``negative``).  A beta witness's lengths are read with the
     walk's lowest degree erased."""
-    walk = witness.walk
-    mask = witness.kind == "beta"
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
     directions = ["negative", "positive"] if negative else ["positive", "negative"]
     for direction in directions:
-        base = inverse_walk(pres, walk) if direction == "negative" else walk
-        plans = _candidate_plans(pres, base, min(base.mu) if mask else None)
-        trace = _run_plans(pres, l - 1, plans, direction, witness)
+        base = _invert_witness(pres, witness) if direction == "negative" else witness
+        trace = _run_plans(pres, l - 1, _candidate_plans(pres, base), direction, witness)
         if trace is not None:
             return trace
-    name = f"beta[{walk.literal()}]" if mask else walk.literal()
+    walk = witness.walk
+    name = f"beta[{walk.literal()}]" if witness.kind == "beta" else walk.literal()
     raise ReductionError(f"no verified surgery on {name} reached length {l - 1}")
 
 
@@ -630,10 +633,7 @@ def witness_family(pres, max_arrows, include_bands=True):
     witnesses = [stalk_witness(pres, v) for v in pres.vertices]
     enum = enumerate_gst(pres, max_arrows)
     for walk in enum.walks:
-        w = string_witness(pres, walk)
-        witnesses.append(w)
-        if w.cohomology.as_dict().get(min(walk.mu), 0):
-            witnesses.append(_beta_of(w))
+        witnesses.extend(_with_beta(string_witness(pres, walk)))
     if include_bands:
         for walk in enumerate_gba(pres, max_arrows).walks:
             witnesses.append(band_witness(pres, walk, 1, 1))

@@ -152,6 +152,14 @@ def test_reduce_verb():
     assert band["output"]["cohomology"]["hl"] == 3
 
 
+def test_reduce_golden_byte_exact():
+    # both directions glue the chain of the other maximal path a2
+    for flag, suffix in (([], ""), (["--negative"], "_negative")):
+        code, out = run(["reduce", A0_FILE, "--walk", "a3.a4.a5.a6", *flag])
+        assert code == 0
+        assert out == (GOLDEN / f"a0_reduce_a3_a4_a5_a6{suffix}.json").read_text()
+
+
 def test_demo_a0_golden_and_exit_code():
     code, out = run(["demo-a0"])
     # one expectation of the bundled scan does not hold for the computed

@@ -1,7 +1,7 @@
 import pytest
 
 from gentle import (NotComposable, PresentationError, compose, dim_projective,
-                    left_action, maximal_extension, maximal_path,
+                    left_action, maximal_path, other_maximal_path,
                     parse_presentation, path_basis, validate_gentle)
 
 from corpus import A0, KRONECKER, full_corpus, load
@@ -128,23 +128,21 @@ def test_basis_is_closed_under_subpaths_and_ordered():
 
 
 def test_maximal_extension_a0():
+    # a1 extends to a1.a2 by hat = a2, and no other arrow leaves s(a1)
     pres = load(A0)
-    ext = maximal_extension(pres, pres.path(["a1"]))
-    assert ext.tilde.label() == "a1.a2"
-    assert ext.hat.label() == "a2"
-    assert ext.check is None and ext.check_length == 0
+    assert maximal_path(pres, "a1").label() == "a1.a2"
+    assert maximal_path(pres, pres.free_continuation("a1")).label() == "a2"
+    assert other_maximal_path(pres, "a1") is None
 
-    ext = maximal_extension(pres, pres.path(["a3"]))
-    assert ext.tilde.label() == "a3.a4.a5.a6"
-    assert ext.check.label() == "a2"
+    assert maximal_path(pres, "a3").label() == "a3.a4.a5.a6"
+    assert other_maximal_path(pres, "a3").label() == "a2"
 
 
 def test_maximal_extension_kronecker():
     pres = load(KRONECKER)
-    ext = maximal_extension(pres, pres.path(["a"]))
-    assert ext.tilde.label() == "a"
-    assert ext.hat.is_trivial()
-    assert ext.check.label() == "b"
+    assert maximal_path(pres, "a").label() == "a"
+    assert pres.free_continuation("a") is None  # hat is trivial
+    assert other_maximal_path(pres, "a").label() == "b"
 
 
 def _scanned_continuation(pres, arrow_name, relation):
@@ -168,14 +166,24 @@ def test_continuations_agree_with_a_scan_of_the_out_arrows():
     for lookup in (crowded.relation_continuation, crowded.free_continuation):
         with pytest.raises(PresentationError, match="unknown arrow"):
             lookup("z")
+    for pres in full_corpus():
+        for a in pres.arrows:
+            other = next((b.name for b in pres.out_arrows(a.source) if b.name != a.name), None)
+            check = other_maximal_path(pres, a.name)
+            assert check == (maximal_path(pres, other) if other is not None else None)
+            assert check is None or check.source == a.source
+    with pytest.raises(PresentationError, match="validate_gentle"):
+        other_maximal_path(crowded, "b")
 
 
 def test_maximal_path_is_the_maximal_extension_of_its_arrow():
     assert maximal_path(load(A0), "a3").label() == "a3.a4.a5.a6"
     for pres in full_corpus():
         for a in pres.arrows:
-            tilde = maximal_extension(pres, pres.arrow_path(a.name)).tilde
-            assert maximal_path(pres, a.name) == tilde
+            arrows = maximal_path(pres, a.name).arrows
+            assert arrows[0] == a.name
+            assert all(pres.free_continuation(x) == y for x, y in zip(arrows, arrows[1:]))
+            assert pres.free_continuation(arrows[-1]) is None
             assert maximal_path(pres, a.name) is maximal_path(pres, a.name)
 
 
@@ -236,11 +244,11 @@ def test_presentation_fields_are_its_inputs_and_facts_are_kept_per_presentation(
     assert [f.name for f in fields(core.Presentation)] == [
         "name", "vertices", "arrows", "relations", "validated"]
     used, fresh = load(A0), load(A0)
-    a1, a3 = used.path(["a1"]), used.path(["a3"])
+    a1 = used.path(["a1"])
     builders = [
         core._vertex_basis,
         lambda pres: left_action(pres, a1),
-        lambda pres: maximal_extension(pres, a3),
+        lambda pres: other_maximal_path(pres, "a3"),
         lambda pres: maximal_path(pres, "a3"),
         lambda pres: walks.glue_bar(pres, a1),
         walks.letter_graph,

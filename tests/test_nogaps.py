@@ -444,16 +444,17 @@ def test_maximal_extension_is_computed_once_per_path(monkeypatch):
     from corpus import random_gentle
     pres = random_gentle(5)
     calls = {}
-    real = core.MaximalExtension
+    real = core.Presentation.path
 
-    def counted(tilde, hat, check):
-        # tilde = path . hat, so (tilde, hat) names the path
-        calls[tilde, hat] = calls.get((tilde, hat), 0) + 1
-        return real(tilde, hat, check)
+    def counted(self, arrow_names):
+        path = real(self, arrow_names)
+        calls[path] = calls.get(path, 0) + 1
+        return path
 
-    monkeypatch.setattr(core, "MaximalExtension", counted)
+    monkeypatch.setattr(core.Presentation, "path", counted)
     witness_family(pres, 8)
-    assert calls and max(calls.values()) == 1
+    # the path facts built here are the maximal paths, one per arrow
+    assert len(calls) == len(pres.arrows) and max(calls.values()) == 1
 
 
 # --- the built-in counterexample scan ---------------------------------------
