@@ -173,7 +173,7 @@ def test_continuations_agree_with_a_scan_of_the_out_arrows():
             assert check == (maximal_path(pres, other) if other is not None else None)
             assert check is None or check.source == a.source
     with pytest.raises(PresentationError, match="validate_gentle"):
-        other_maximal_path(crowded, "b")
+        other_maximal_path(crowded, "a")  # the only arrow out of 1
 
 
 def test_maximal_path_is_the_maximal_extension_of_its_arrow():
