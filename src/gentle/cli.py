@@ -24,8 +24,7 @@ import sys
 from fractions import Fraction
 
 from .core import PresentationError, NotComposable, parse_presentation, validate_gentle, path_basis, dim_projective
-from .walks import (GBA, GST, enumerate_gba, enumerate_gst, is_derived_discrete,
-                    parse_walk)
+from .walks import GBA, enumerate_gba, enumerate_gst, is_derived_discrete, parse_walk
 from .complexes import band_complex, complex_to_json, string_complex
 from .cohomology import beta_cohomology, cohomology_dims
 from .nogaps import (ReductionError, hl_spectrum, reduce_band, reduce_beta,
@@ -73,11 +72,8 @@ def _walk(pres, args):
     if not args.band and (args.lam is not None or args.mult is not None):
         raise UsageError("--lambda and --mult need --band")
     walk = parse_walk(pres, args.walk)
-    if args.band:
-        if walk.kind != GBA:
-            raise PresentationError(f"walk {args.walk!r} is not a band: {walk.reason or walk.kind}")
-    elif walk.kind not in (GST, GBA):
-        raise PresentationError(f"walk {args.walk!r} is not a generalized string: {walk.reason}")
+    if args.band and walk.kind != GBA:
+        raise PresentationError(f"walk {args.walk!r} is not a band: {walk.kind}")
     return walk
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PresentationError, maximal_path, other_maximal_path
+from .core import PresentationError, dim_projective, maximal_path, other_maximal_path
 from .exact import rank
-from .walks import GST, GBA, classify_walk, glue_bar
+from .walks import classify_walk, glue_bar
 from .complexes import (check_band, differential_matrix, mu_minimal_rotation,
                         shift as shift_complex, string_complex, total_dimension)
 
@@ -84,12 +84,13 @@ def node_contributions(pres, walk):
     A node entered by an inverse letter whose other end is a forward
     turning point gains one extra unit: the turning point's projective
     feeds both neighbours through a shared socle vector, so the two
-    image counts overlap in one dimension.  The grand total per degree
-    matches the rank computation exactly (tested, not assumed).
+    image counts overlap in one dimension.  The trivial walk's one node
+    contributes dim P_v.  The grand total per degree matches the rank
+    computation exactly (tested, not assumed).
     """
-    if walk.kind not in (GST, GBA):
-        raise PresentationError(f"node_contributions needs a generalized string, got {walk.kind}")
     letters = walk.letters
+    if not letters:
+        return {0: (0, dim_projective(pres, walk.node_vertex(0)))}
     n = walk.width
     out = {}
     for j in range(n + 1):
@@ -195,8 +196,6 @@ def beta_window(pres, walk, steps):
     Returns (complex, info) where info records how many chain letters were
     attached on each side and whether the chains were exhausted.
     """
-    if walk.kind not in (GST, GBA):
-        raise PresentationError(f"beta_window needs a generalized string, got {walk.kind}")
     if steps < 0:
         raise PresentationError("steps must be >= 0")
     left, right = beta_extension_chains(pres, walk)
@@ -213,10 +212,7 @@ def beta_window(pres, walk, steps):
             chain = right.letters(steps) if not right.finite else right.letters()[:steps]
             info["right_attached"] = len(chain)
             letters = letters + list(chain)
-    extended = classify_walk(pres, letters)
-    if extended.kind not in (GST, GBA):
-        raise PresentationError(f"beta window walk failed to classify: {extended.reason}")
-    cx = string_complex(pres, extended)
+    cx = string_complex(pres, classify_walk(pres, letters))
     # Prepended inverse letters push the original nodes up one degree each;
     # realign so the window compares degree by degree with the input.
     return shift_complex(cx, info["left_attached"]), info

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import NotComposable, PresentationError, _vertex_basis, compose, left_action
-from .walks import GBA, GST, is_primitive, rotate_walk
+from .walks import GBA, is_primitive, rotate_walk
 
 _ONE = Fraction(1)
 
@@ -89,18 +89,9 @@ def _walk_complex(pres, walk, nodes, lam, d, origin):
 
 
 def string_complex(pres, walk):
-    """The minimal complex of Definition-style string type for a GST walk."""
-    if walk.kind not in (GST, GBA):
-        raise PresentationError(f"string_complex needs a generalized string, got {walk.kind}")
+    """The minimal string complex of a walk; the trivial walk at v gives P_v."""
     return _walk_complex(pres, walk, walk.width + 1, None, 1,
                          f"string:{walk.literal()}")
-
-
-def stalk_complex(pres, vertex):
-    """The one-term complex with P_vertex in degree 0."""
-    if vertex not in pres.vertices:
-        raise PresentationError(f"unknown vertex {vertex!r}")
-    return ProjComplex({0: (Summand(vertex, 0),)}, {}, origin=f"stalk:{vertex}")
 
 
 def mu_minimal_rotation(pres, walk):

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (PresentationError, dim_projective, maximal_path, other_maximal_path,
+from .core import (PresentationError, maximal_path, other_maximal_path,
                    parse_presentation, validate_gentle)
-from .walks import (GBA, GST, Letter, classify_walk, enumerate_gba,
+from .walks import (GBA, Letter, classify_walk, enumerate_gba,
                     enumerate_gst, glue_bar, inverse_walk, is_derived_discrete,
-                    longest_walk_arrows, mu_profile, shorten_letter)
+                    longest_walk_arrows, mu_profile, shorten_letter, trivial_walk)
 from .complexes import check_band, mu_minimal_rotation, string_complex
 from .cohomology import (CohVector, band_sums, beta_cohomology, cohomology_dims,
                          node_contributions, node_sums)
@@ -35,11 +35,10 @@ class ReductionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Witness:
-    """A named indecomposable: a string / beta / band walk or a stalk."""
+    """A named indecomposable: a string / beta / band walk, or a stalk on a trivial walk."""
 
     kind: str  # string | beta | band | stalk
     walk: object = None
-    vertex: str | None = None
     lam: Fraction | None = None
     mult: int = 1
     shift: int = 0
@@ -51,7 +50,7 @@ class Witness:
 
     def literal(self):
         if self.kind == "stalk":
-            return f"stalk {self.vertex}"
+            return f"stalk {self.walk.node_vertex(0)}"
         base = self.walk.literal()
         if self.kind == "beta":
             return f"beta[ {base} ]"
@@ -63,7 +62,7 @@ class Witness:
         out = {"kind": self.kind, "shift": self.shift,
                "cohomology": self.cohomology.to_json()}
         if self.kind == "stalk":
-            out["vertex"] = self.vertex
+            out["vertex"] = self.walk.node_vertex(0)
         else:
             out["walk"] = self.walk.literal()
         if self.kind == "band":
@@ -102,8 +101,8 @@ def band_witness(pres, walk, lam=1, mult=1):
 
 
 def stalk_witness(pres, vertex):
-    vec = CohVector.from_dict({0: dim_projective(pres, vertex)})
-    return Witness("stalk", vertex=vertex, cohomology=vec)
+    walk = trivial_walk(pres, vertex)
+    return Witness("stalk", walk=walk, cohomology=node_sums(pres, walk))
 
 
 @dataclass(frozen=True)
@@ -338,13 +337,12 @@ def _local_plans(pres, walk, q):
                                       [f"truncate one arrow of letter {q}", "discard the prefix"],
                                       rest)
         else:
-            rest = letters[q:]
+            # No check-path glue follows the consumed letter: at a backward
+            # turn the check path of its arrow starts with the first arrow of
+            # ``after``, so every glued walk would backtrack.
             yield from _prepend_plans(pres, _START, tag, q,
-                                      [f"consume letter {q}", "discard the prefix"], rest)
-            check = other_maximal_path(pres, before.path.arrows[0]) if turn else None
-            if check is not None:
-                yield _glued(pres, _START, tag, q, [f"consume letter {q}"],
-                             check.label(), check, rest)
+                                      [f"consume letter {q}", "discard the prefix"],
+                                      letters[q:])
         if turn and after.length >= 2:
             rest = (shorten_letter(pres, after.inverted(), 1),) + _flip(letters[:q])
             yield from _prepend_plans(pres, _END, tag, q,
@@ -408,8 +406,6 @@ def _plan_witnesses(pres, plan):
         yield stalk_witness(pres, plan.letters[0])
         return
     walk = classify_walk(pres, plan.letters)
-    if walk.kind not in (GST, GBA):
-        return
     if plan.kind == "beta":
         yield beta_witness(pres, walk)
         return
@@ -427,15 +423,12 @@ def _aligned(input_witness, out):
 
 def _verified(pres, trace):
     """The trace, once the rank route agrees with the closed-form vector of
-    its output: the one rank computation of a reduction.  A stalk's vector
-    is its projective's dimension and is not ranked."""
+    its output: the one rank computation of a reduction, stalks included."""
     out = trace.output
-    if out.kind == "string":
-        ranked = cohomology_dims(pres, string_complex(pres, out.walk))
-    elif out.kind == "beta":
+    if out.kind == "beta":
         ranked = beta_cohomology(pres, out.walk)
     else:
-        return trace
+        ranked = cohomology_dims(pres, string_complex(pres, out.walk))
     if ranked != out.cohomology:
         raise ReductionError(f"closed form and rank disagree on {out.literal()}")
     return trace
@@ -494,16 +487,15 @@ def _invert_witness(pres, witness):
     """The same witness on the inverse walk.  Node k of the inverse walk is
     node n - k of the walk lowered by mu(n), so its vector is the walk's
     shifted by mu(n) and nothing is ranked again."""
-    if witness.kind == "stalk":
-        return witness
     return replace(witness, walk=inverse_walk(pres, witness.walk),
                    cohomology=witness.cohomology.shifted(witness.walk.mu[-1]))
 
 
 def reduce_string(pres, walk, negative=False):
-    """A verified witness of length hl(P_walk) - 1 for a width >= 1 string."""
-    if walk.kind not in (GST, GBA):
-        raise PresentationError(f"reduce_string needs a generalized string, got {walk.kind}")
+    """A verified witness of length hl(P_walk) - 1; the trivial walk at v
+    reduces as the stalk P_v."""
+    if not walk.letters:
+        return reduce_stalk(pres, walk.node_vertex(0))
     return _search(pres, string_witness(pres, walk), negative)
 
 
@@ -592,14 +584,12 @@ def reduce_stalk(pres, vertex):
 
 
 def reduce_witness(pres, witness, negative=False):
-    if witness.kind == "string":
-        return reduce_string(pres, witness.walk, negative=negative)
     if witness.kind == "beta":
         return reduce_beta(pres, witness.walk, negative=negative)
     if witness.kind == "band":
         return reduce_band(pres, witness.walk, witness.lam, witness.mult,
                            negative=negative)
-    return reduce_stalk(pres, witness.vertex)
+    return reduce_string(pres, witness.walk, negative=negative)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ A letter is a nonzero path of length >= 1 taken directly or formally
 inverted.  Generalized strings are walks whose same-direction junctions
 compose into a relation and whose mixed junctions avoid backtracking;
 generalized bands are the cyclically closed, degree-balanced strings.
+Every GenWalk is one of the two; the trivial walk has no letters.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from .core import Path, PresentationError, _vertex_basis, per_presentation
 
 GST = "GST"
 GBA = "GBA"
-INVALID = "INVALID"
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class GenWalk:
     letters: tuple[Letter, ...]
     kind: str
     mu: tuple[int, ...]
-    reason: str = ""
+    vertex: str | None = None  # the one node of a walk with no letters
 
     @property
     def width(self):
@@ -67,7 +67,7 @@ class GenWalk:
         """c(j): the vertex at node j (0 <= j <= width)."""
         if j < len(self.letters):
             return self.letters[j].source
-        return self.letters[-1].target
+        return self.letters[-1].target if self.letters else self.vertex
 
     def literal(self):
         return " , ".join(l.literal() for l in self.letters)
@@ -109,11 +109,11 @@ def junction_reason(pres, a, b):
 
 
 def classify_walk(pres, letters):
-    """Classify a letter sequence as GBA, GST, or INVALID(reason).
+    """Classify a letter sequence as GBA or GST.
 
-    Walks failing a string/band axiom report INVALID with the first broken
-    condition, even when they would be fine as plain arrow walks: only the
-    complex-indexing families matter here.
+    A sequence failing a string axiom raises PresentationError naming the
+    walk and its first broken junction, even when it would be fine as a
+    plain arrow walk: only the complex-indexing families matter here.
     """
     letters = tuple(letters)
     if not letters:
@@ -126,16 +126,23 @@ def classify_walk(pres, letters):
             raise PresentationError("letters carry paths of length >= 1")
         if l.path.arrows not in pos.get(l.path.source, ()):
             pres.path(l.path.arrows)  # raises if not a path of the algebra
-    mu = mu_profile(letters)
+    walk = GenWalk(letters, GST, mu_profile(letters))
     for i, (a, b) in enumerate(zip(letters, letters[1:])):
         reason = junction_reason(pres, a, b)
         if reason is not None:
-            return GenWalk(letters, INVALID, mu, f"junction {i}: {reason}")
-    if letters[0].source == letters[-1].target and mu[-1] == 0:
-        wrap = junction_reason(pres, letters[-1], letters[0])
-        if wrap is None:
-            return GenWalk(letters, GBA, mu)
-    return GenWalk(letters, GST, mu)
+            raise PresentationError(f"walk {walk.literal()!r} is not a generalized "
+                                    f"string: junction {i}: {reason}")
+    # the closing junction also checks that the walk returns to its start
+    if walk.mu[-1] == 0 and junction_reason(pres, letters[-1], letters[0]) is None:
+        return GenWalk(letters, GBA, walk.mu)
+    return walk
+
+
+def trivial_walk(pres, vertex):
+    """The walk with no letters at ``vertex``; its string complex is P_vertex."""
+    if vertex not in pres.vertices:
+        raise PresentationError(f"unknown vertex {vertex!r}")
+    return GenWalk((), GST, (0,), vertex)
 
 
 def is_string(pres, letters):
@@ -156,6 +163,8 @@ def is_string(pres, letters):
 
 
 def inverse_walk(pres, walk):
+    if not walk.letters:
+        return walk
     return classify_walk(pres, [l.inverted() for l in reversed(walk.letters)])
 
 
@@ -169,8 +178,6 @@ def rotate_walk(pres, walk, k):
 
 def canonical_string(pres, walk):
     """Representative of {w, w^-1} under the fixed letter order."""
-    if walk.kind not in (GST, GBA):
-        raise PresentationError(f"canonical_string needs a generalized string, got {walk.kind}")
     inv = inverse_walk(pres, walk)
     return min(walk, inv, key=GenWalk.sort_key)
 

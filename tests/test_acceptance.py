@@ -18,8 +18,9 @@ from gentle import (A0_SOURCE, band_complex,
                     beta_cohomology, beta_window, check_minimal, classify_walk,
                     cohomology_dims, differential_matrix, enumerate_gba,
                     enumerate_gst, hl_spectrum, load_builtin,
-                    longest_walk_arrows, node_sums, parse_walk, stalk_complex,
-                    stalk_witness, string_complex, verify_counterexample_a0)
+                    longest_walk_arrows, node_sums, parse_walk,
+                    stalk_witness, string_complex, trivial_walk,
+                    verify_counterexample_a0)
 from gentle.cli import main
 from gentle.complexes import mu_minimal_rotation, total_dimension
 from gentle.exact import rank
@@ -85,7 +86,7 @@ def test_criterion_2_global_width_value():
     bound = longest_walk_arrows(pres)
     strings = enumerate_gst(pres, bound)
     bands = enumerate_gba(pres, bound)
-    complexes = ([stalk_complex(pres, v) for v in pres.vertices]
+    complexes = ([string_complex(pres, trivial_walk(pres, v)) for v in pres.vertices]
                  + [string_complex(pres, w) for w in strings.walks])
     by_rank = [cohomology_dims(pres, cx) for cx in complexes]
     by_closed_form = ([stalk_witness(pres, v).cohomology for v in pres.vertices]

@@ -209,6 +209,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
                  ["cohomology", KR_FILE] + power,
                  ["reduce", KR_FILE] + power,
                  ["reduce", A0_FILE, "--walk", "a1 , a2"],
+                 ["cohomology", A0_FILE, "--walk", "a1 , a2"],
                  # band parameters without --band
                  ["complex", A0_FILE, "--walk", "a1", "--mult", "2"],
                  ["cohomology", A0_FILE, "--walk", "a1", "--lambda", "0"],
@@ -225,7 +226,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
         assert (code, out) == (1, ""), argv
         error = json.loads(capsys.readouterr().err)["error"]
         if "a1 , a2" in argv:
-            assert "junction 0" in error, argv
+            assert "walk 'a1 , a2'" in error and "junction 0" in error, argv
         if "a1." in argv or "a3..a4" in argv:
             assert "empty arrow name" in error, argv
     with pytest.raises(SystemExit) as help_exit:

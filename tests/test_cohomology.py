@@ -1,9 +1,11 @@
 from fractions import Fraction
 
-from gentle import (GBA, CohVector, band_complex, band_sums, beta_cohomology, beta_window,
-                    cohomology_dims, dim_projective, enumerate_gba,
+import pytest
+
+from gentle import (GBA, CohVector, PresentationError, band_complex, band_sums,
+                    beta_cohomology, beta_window, cohomology_dims, dim_projective, enumerate_gba,
                     enumerate_gst, node_contributions, node_sums,
-                    parse_walk, stalk_complex, string_complex)
+                    parse_walk, stalk_witness, string_complex, trivial_walk)
 
 from corpus import A0, KRONECKER, RELATION_CYCLE, TWO_RELATION_CHAIN, full_corpus, load
 
@@ -26,10 +28,20 @@ def test_band_vector_and_invariants():
 
 def test_stalk_vector():
     for v in a0.vertices:
-        vec = cohomology_dims(a0, stalk_complex(a0, v))
+        vec = cohomology_dims(a0, string_complex(a0, trivial_walk(a0, v)))
         assert vec.as_dict() == {0: dim_projective(a0, v)}
         assert vec.hw == 1
         assert vec.hr == vec.hl == dim_projective(a0, v)
+    # the closed form of every stalk witness is the rank of its trivial walk
+    stalks = 0
+    for pres in full_corpus():
+        for v in pres.vertices:
+            ranked = cohomology_dims(pres, string_complex(pres, trivial_walk(pres, v)))
+            assert stalk_witness(pres, v).cohomology == ranked, (pres.name, v)
+            stalks += 1
+    assert stalks >= 100
+    with pytest.raises(PresentationError, match="unknown vertex '8'"):
+        trivial_walk(a0, "8")
 
 
 def test_zero_vector_conventions():

@@ -8,7 +8,7 @@ from gentle import (NotComposable, band_complex, brutal_truncate, check_minimal,
                     cohomology_dims, complex_to_json,
                     differential_matrix, enumerate_gba,
                     enumerate_gst, inverse_walk, parse_walk, shift,
-                    stalk_complex, string_complex)
+                    string_complex, trivial_walk)
 from gentle.complexes import ProjComplex, Summand, total_dimension
 from gentle.exact import rank
 
@@ -37,7 +37,7 @@ def test_string_complex_relation_pair():
 
 
 def test_stalk_complex():
-    cx = stalk_complex(a0, "3")
+    cx = string_complex(a0, trivial_walk(a0, "3"))
     assert cx.degrees() == [0]
     assert cx.diffs == {}
     assert check_minimal(cx)
@@ -150,7 +150,7 @@ def test_differential_matrix_rejects_entries_off_their_summands():
 
 
 def test_zero_differential_matrix():
-    cx = stalk_complex(a0, "2")
+    cx = string_complex(a0, trivial_walk(a0, "2"))
     assert differential_matrix(a0, cx, 0) == []
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentle import (GBA, GST, INVALID, Letter, Path, PresentationError,
+from gentle import (GBA, GST, Letter, Path, PresentationError,
                     canonical_band, canonical_string, classify_walk,
                     enumerate_gba, enumerate_gst, glue_bar, inverse_walk,
                     is_derived_discrete, is_string, longest_walk_arrows,
@@ -39,9 +39,9 @@ def test_classify_relation_pair_is_gst():
 
 
 def test_classify_nonrelation_direct_pair_is_invalid():
-    walk = classify_walk(a0, letters(a0, [("a1", False), ("a2", False)]))
-    assert walk.kind == INVALID
-    assert "relation" in walk.reason
+    with pytest.raises(PresentationError, match="junction 0") as err:
+        classify_walk(a0, letters(a0, [("a1", False), ("a2", False)]))
+    assert "relation" in str(err.value)
 
 
 def test_classify_kronecker_band():
@@ -70,9 +70,26 @@ def test_letters_off_the_algebra_raise_the_path_error():
 
 
 def test_backtracking_is_invalid():
-    walk = classify_walk(kron, letters(kron, [("a", False), ("a", True)]))
-    assert walk.kind == INVALID
-    assert "backtrack" in walk.reason
+    with pytest.raises(PresentationError, match="junction 0") as err:
+        classify_walk(kron, letters(kron, [("a", False), ("a", True)]))
+    assert "backtrack" in str(err.value)
+
+
+@pytest.mark.parametrize("pres, pattern, reason", [
+    (a0, [("a1", False), ("a4", False)], "junction 0: not composable: t(a1) != s(a4)"),
+    (a0, [("a1", False), ("a3", False), ("a4", False)],
+     "junction 1: consecutive direct letters must compose into a relation: a3.a4 is nonzero"),
+    (a0, [("a2", True), ("a1", True)],
+     "junction 0: consecutive inverse letters must compose into a relation: a1.a2 is nonzero"),
+    (kron, [("b", True), ("a", False), ("a", True)], "junction 1: backtracking junction on arrow a"),
+    (kron, [("a", False), ("b", True), ("b", False)], "junction 1: backtracking junction on arrow b"),
+], ids=["not-composable", "direct-pair", "inverse-pair", "direct-then-inverse",
+        "inverse-then-direct"])
+def test_classify_walk_names_the_walk_and_its_first_broken_junction(pres, pattern, reason):
+    literal = " , ".join(("~" if inverse else "") + name for name, inverse in pattern)
+    with pytest.raises(PresentationError) as err:
+        classify_walk(pres, letters(pres, pattern))
+    assert str(err.value) == f"walk {literal!r} is not a generalized string: {reason}"
 
 
 def test_is_string_helper():
