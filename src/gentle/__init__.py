@@ -18,7 +18,7 @@ from .cohomology import (CohVector, band_sums, beta_cohomology, beta_window,
 from .nogaps import (A0_SOURCE, ReductionError,
                      ReductionTrace, SpectrumReport, Witness, band_witness,
                      beta_witness, hl_spectrum, load_builtin, reduce_band,
-                     reduce_beta, reduce_stalk, reduce_string, reduce_witness,
+                     reduce_beta, reduce_string, reduce_witness,
                      stalk_witness, string_witness, verify_counterexample_a0,
                      witness_family)
 

@@ -174,6 +174,8 @@ def beta_extension_chains(pres, walk):
     resolved by the unique relation chain continuing the end letter.
     Returns (left_chain, right_chain): BarDescriptors or None.
     """
+    if not walk.letters:
+        return None, None  # P_v alone has no end letter to resolve
     mu = walk.mu
     bottom = min(mu)
     left = right = None
@@ -212,7 +214,7 @@ def beta_window(pres, walk, steps):
             chain = right.letters(steps) if not right.finite else right.letters()[:steps]
             info["right_attached"] = len(chain)
             letters = letters + list(chain)
-    cx = string_complex(pres, classify_walk(pres, letters))
+    cx = string_complex(pres, classify_walk(pres, letters) if letters else walk)
     # Prepended inverse letters push the original nodes up one degree each;
     # realign so the window compares degree by degree with the input.
     return shift_complex(cx, info["left_attached"]), info

@@ -96,11 +96,7 @@ def string_complex(pres, walk):
 
 def mu_minimal_rotation(pres, walk):
     """Rotate a band so its degree profile attains the minimum at node 0."""
-    if walk.kind != GBA:
-        raise PresentationError("mu_minimal_rotation needs a band")
-    best = min(walk.mu[:-1])
-    k = walk.mu.index(best)
-    return rotate_walk(pres, walk, k)
+    return rotate_walk(pres, walk, walk.mu.index(min(walk.mu)))
 
 
 def check_band(walk, lam, d):

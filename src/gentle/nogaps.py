@@ -12,7 +12,9 @@ misses l - 1 is never returned.
 The surgeries form one lazy stream of plans: the local plans at each target
 node, then cuts at the interior nodes, then stalks, then one round on the
 near misses.  A plan is built only when the search reaches it, so the search
-stops building at the first plan that lands.
+stops building at the first plan that lands.  A stalk P_v is the string
+witness of the trivial walk at v: it is reduced by the same search, and a
+stalk proposed by a plan is that walk.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .core import (PresentationError, maximal_path, other_maximal_path,
                    parse_presentation, validate_gentle)
-from .walks import (GBA, Letter, classify_walk, enumerate_gba,
+from .walks import (Letter, classify_walk, enumerate_gba,
                     enumerate_gst, glue_bar, inverse_walk, is_derived_discrete,
                     longest_walk_arrows, mu_profile, shorten_letter, trivial_walk)
 from .complexes import check_band, mu_minimal_rotation, string_complex
@@ -72,7 +74,9 @@ class Witness:
 
 
 def string_witness(pres, walk):
-    return Witness("string", walk=walk, cohomology=node_sums(pres, walk))
+    """A walk's string witness; on the trivial walk at v, the stalk P_v."""
+    return Witness("string" if walk.letters else "stalk", walk=walk,
+                   cohomology=node_sums(pres, walk))
 
 
 def beta_witness(pres, walk):
@@ -101,8 +105,7 @@ def band_witness(pres, walk, lam=1, mult=1):
 
 
 def stalk_witness(pres, vertex):
-    walk = trivial_walk(pres, vertex)
-    return Witness("stalk", walk=walk, cohomology=node_sums(pres, walk))
+    return string_witness(pres, trivial_walk(pres, vertex))
 
 
 @dataclass(frozen=True)
@@ -190,12 +193,12 @@ class _Plan:
     tag: str
     target: int
     steps: tuple[str, ...]
-    kind: str          # string | beta | stalk
-    letters: tuple     # proposed walk (the vertex, for a stalk)
+    kind: str          # string | beta
+    walk: object       # the proposed walk; a stalk is a trivial walk
 
 
-def _plan(tag, target, steps, kind, letters):
-    return _Plan(tag, target, tuple(steps), kind, tuple(letters))
+def _plan(pres, tag, target, steps, kind, letters):
+    return _Plan(tag, target, tuple(steps), kind, classify_walk(pres, letters))
 
 
 @dataclass(frozen=True)
@@ -224,19 +227,19 @@ _END = _Side("last", "end", "right", "glue chain", "prefix", True)
 def _glued(pres, side, tag, target, steps, what, path, rest):
     """``rest`` behind the inverted glue chain of ``path``."""
     chain, beta, note = _chain(pres, path, rest)
-    return _plan(tag, target, steps + [f"{side.glue} of {what} ({note})"],
+    return _plan(pres, tag, target, steps + [f"{side.glue} of {what} ({note})"],
                  "beta" if beta else "string", side.frame(chain + rest))
 
 
 def _prepend_plans(pres, side, tag, target, steps, rest):
     """Variants of an exposed start: bare, or with the glue chain that
     eliminates an inverse first letter."""
-    yield _plan(tag, target, steps + [f"exposed {side.start} kept bare"],
+    yield _plan(pres, tag, target, steps + [f"exposed {side.start} kept bare"],
                 "string", side.frame(rest))
     g = pres.relation_continuation(rest[0].path.arrows[-1]) if rest[0].inverse else None
     if g is not None:
         chain, beta, note = _chain(pres, pres.arrow_path(g), rest)
-        yield _plan(tag, target,
+        yield _plan(pres, tag, target,
                     steps + [f"{side.left} glue chain of {len(chain)} letters ({note})"],
                     "beta" if beta else "string", side.frame(chain + rest))
 
@@ -272,7 +275,7 @@ def _end_plans(pres, side, letters, q, one_sided):
             if other is not None:
                 yield _glued(pres, side, tag, q, steps, f"arrow {other}",
                              pres.arrow_path(other), rest)
-            yield _plan(tag, q, steps + [f"no second arrow at the new {side.start}"],
+            yield _plan(pres, tag, q, steps + [f"no second arrow at the new {side.start}"],
                         "string", side.frame(rest))
         elif len(letters) > 1:
             yield from _prepend_plans(pres, side, tag, q,
@@ -290,9 +293,9 @@ def _end_plans(pres, side, letters, q, one_sided):
             jump = f"jump to the truncated maximal path {tilde.label()}"
             other = _other_arrow(pres, head)
             if other is not None:
-                yield _plan(tag, q, [jump, f"prepend inverted arrow {other}", "beta"],
+                yield _plan(pres, tag, q, [jump, f"prepend inverted arrow {other}", "beta"],
                             "beta", (Letter(pres.arrow_path(other), True), head))
-            yield _plan(tag, q, [jump, "beta"], "beta", (head,))
+            yield _plan(pres, tag, q, [jump, "beta"], "beta", (head,))
     yield _glued(pres, side, tag, q, [], f"the maximal path {tilde.label()}", tilde, letters)
 
 
@@ -303,9 +306,16 @@ def _local_plans(pres, walk, q):
 
     Every plan is evaluated in closed form; plans for the degenerate
     corners (a governing letter fully consumed) are yielded in several glue
-    variants and the check keeps the first that lands.
+    variants and the check keeps the first that lands.  The trivial walk
+    at v is replaced by the maximal path from v, whose string or beta
+    vector keeps dim P_v - 1 on top.
     """
     letters = walk.letters
+    if not letters:
+        tilde = maximal_path(pres, pres.out_arrows(walk.node_vertex(0))[0].name)
+        step = f"replace the stalk by the maximal path {tilde.label()}"
+        yield _plan(pres, "GENERAL_Q", 0, [step], "string", (Letter(tilde),))
+        return
     n = walk.width
     one_sided = _one_sided(walk)
     if q in (0, n):
@@ -322,7 +332,7 @@ def _local_plans(pres, walk, q):
             if other is not None:
                 yield _glued(pres, _START, tag, q, steps, f"arrow {other}",
                              pres.arrow_path(other), rest)
-            yield _plan(tag, q, steps, "string", rest)
+            yield _plan(pres, tag, q, steps, "string", rest)
         elif after.length == 2 and q + 1 <= n - 1:
             yield from _prepend_plans(pres, _START, tag, q,
                                       [f"consume letter {q + 1}", "discard the prefix"],
@@ -387,7 +397,8 @@ def _stalk_plans(pres, walk, contribs, masses, top):
     top_vertices = [walk.node_vertex(j) for j, (deg, c) in sorted(contribs.items())
                     if c > 0 and masses[deg] == top]
     for v in dict.fromkeys([*top_vertices, *pres.vertices]):
-        yield _plan("GENERAL_Q", 0, [f"brutal truncation to the projective at {v}"], "stalk", (v,))
+        yield _Plan("GENERAL_Q", 0, (f"brutal truncation to the projective at {v}",),
+                    "string", trivial_walk(pres, v))
 
 
 def _candidate_plans(pres, witness):
@@ -402,14 +413,10 @@ def _candidate_plans(pres, witness):
 def _plan_witnesses(pres, plan):
     """The plan's output, then its beta variant when that differs; the
     variant is built only if the search reads on past the output."""
-    if plan.kind == "stalk":
-        yield stalk_witness(pres, plan.letters[0])
-        return
-    walk = classify_walk(pres, plan.letters)
     if plan.kind == "beta":
-        yield beta_witness(pres, walk)
+        yield beta_witness(pres, plan.walk)
         return
-    yield from _with_beta(string_witness(pres, walk))
+    yield from _with_beta(string_witness(pres, plan.walk))
 
 
 def _aligned(input_witness, out):
@@ -450,7 +457,7 @@ def _run_plans(pres, target_hl, plans, direction, input_witness):
     def fresh(plan):
         # the set grows exactly when the key is new: one hash per plan
         seen = len(evaluated)
-        evaluated.add((plan.kind, plan.letters))
+        evaluated.add((plan.kind, plan.walk))
         return len(evaluated) > seen
 
     def proposals():
@@ -460,10 +467,9 @@ def _run_plans(pres, target_hl, plans, direction, input_witness):
             yield plan, plan.steps, plan
         seen = set()
         for plan, mid in intermediates:
-            key = tuple(l.sort_key() for l in mid.walk.letters)
-            if key in seen:
+            if mid.walk in seen:
                 continue
-            seen.add(key)
+            seen.add(mid.walk)
             if len(seen) > 25:
                 break
             for inner in filter(fresh, _candidate_plans(pres, mid)):
@@ -477,7 +483,7 @@ def _run_plans(pres, target_hl, plans, direction, input_witness):
                 return _verified(pres, ReductionTrace(
                     input_witness, plan.tag, plan.target, direction, steps,
                     _aligned(input_witness, cand)))
-            # only the first round's near misses are expanded
+            # only the first round's near misses are expanded, and no stalk
             if proposal is plan and cand.hl == target_hl + 1 and cand.kind != "stalk":
                 intermediates.append((plan, cand))
     return None
@@ -494,26 +500,25 @@ def _invert_witness(pres, witness):
 def reduce_string(pres, walk, negative=False):
     """A verified witness of length hl(P_walk) - 1; the trivial walk at v
     reduces as the stalk P_v."""
-    if not walk.letters:
-        return reduce_stalk(pres, walk.node_vertex(0))
     return _search(pres, string_witness(pres, walk), negative)
 
 
 def _search(pres, witness, negative):
     """The plan search on the witness, then on its inverse (the other way
     round when ``negative``).  A beta witness's lengths are read with the
-    walk's lowest degree erased."""
+    walk's lowest degree erased.  The trivial walk is its own inverse, so
+    it is searched once, in the positive direction."""
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
     directions = ["negative", "positive"] if negative else ["positive", "negative"]
-    for direction in directions:
+    for direction in directions if witness.walk.letters else ["positive"]:
         base = _invert_witness(pres, witness) if direction == "negative" else witness
         trace = _run_plans(pres, l - 1, _candidate_plans(pres, base), direction, witness)
         if trace is not None:
             return trace
     walk = witness.walk
-    name = f"beta[{walk.literal()}]" if witness.kind == "beta" else walk.literal()
+    name = f"beta[{walk.literal()}]" if witness.kind == "beta" else witness.literal()
     raise ReductionError(f"no verified surgery on {name} reached length {l - 1}")
 
 
@@ -539,8 +544,6 @@ def reduce_band(pres, walk, lam=1, mult=1, negative=False):
 
     The band's vector is the beta vector of the unwound string plus one in
     degree 1, so that beta vector has length l or l - 1."""
-    if walk.kind != GBA:
-        raise PresentationError(f"reduce_band needs a generalized band, got {walk.kind}")
     witness = band_witness(pres, walk, lam, mult)
     l = witness.hl
     if l <= 1:
@@ -561,26 +564,6 @@ def reduce_band(pres, walk, lam=1, mult=1, negative=False):
     inner = _reduce_beta(pres, plain, negative)
     return ReductionTrace(witness, "BAND_UNWIND", inner.target_node,
                           inner.direction, steps + inner.surgery, inner.output)
-
-
-def reduce_stalk(pres, vertex):
-    """Reduce a projective stalk: the single-letter walk on a maximal path
-    from the vertex has top cohomology dim P_v - 1, and its beta variant
-    erases everything else."""
-    witness = stalk_witness(pres, vertex)
-    l = witness.hl
-    if l <= 1:
-        raise ReductionError("cohomological length is already <= 1")
-    tilde = maximal_path(pres, pres.out_arrows(vertex)[0].name)
-    walk = classify_walk(pres, [Letter(tilde)])
-    out = string_witness(pres, walk)
-    if out.hl != l - 1:
-        out = _beta_of(out)
-    if out.hl != l - 1:
-        raise ReductionError(f"stalk reduction at {vertex} missed {l - 1}")
-    return _verified(pres, ReductionTrace(
-        witness, "GENERAL_Q", 0, "positive",
-        (f"replace the stalk by the maximal path {tilde.label()}",), out))
 
 
 def reduce_witness(pres, witness, negative=False):
@@ -620,7 +603,7 @@ class SpectrumReport:
 
 def witness_family(pres, max_arrows, include_bands=True):
     """Stalks, enumerated strings, their beta variants, and bands at d = 1."""
-    witnesses = [stalk_witness(pres, v) for v in pres.vertices]
+    witnesses = [string_witness(pres, trivial_walk(pres, v)) for v in pres.vertices]
     enum = enumerate_gst(pres, max_arrows)
     for walk in enum.walks:
         witnesses.extend(_with_beta(string_witness(pres, walk)))

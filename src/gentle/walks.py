@@ -195,14 +195,15 @@ def canonical_band(pres, walk):
 
 
 def _period(letters):
-    """The length of the shortest prefix whose repetition spells letters."""
+    """The length of the shortest prefix whose repetition spells letters, 0 for none."""
     n = len(letters)
-    return next(k for k in range(1, n + 1)
-                if n % k == 0 and letters == letters[:k] * (n // k))
+    return next((k for k in range(1, n)
+                 if n % k == 0 and letters == letters[:k] * (n // k)), n)
 
 
 def is_primitive(walk):
-    """True unless the letter sequence is a proper power."""
+    """True unless the letter sequence is a proper power; the trivial walk
+    is no power and so primitive."""
     return _period(walk.letters) == walk.width
 
 
@@ -221,6 +222,8 @@ def _truncate(pres, walk, j, first):
     letter, so both ends trim through ``shorten_letter``."""
     if j == 0:
         return walk
+    if not walk.letters:
+        raise PresentationError("the trivial walk has no letter to truncate")
     letter = walk.letters[0] if first else walk.letters[-1].inverted()
     if j > letter.length:
         raise PresentationError("cannot truncate past one letter")

@@ -8,12 +8,12 @@ import pytest
 
 from gentle import (GBA, CohVector, PresentationError, ReductionError, cohomology,
                     nogaps, band_complex, band_sums, band_witness,
-                    beta_cohomology, beta_witness, classify_walk,
+                    beta_cohomology, beta_witness, classify_walk, dim_projective,
                     cohomology_dims, enumerate_gba, enumerate_gst,
                     hl_spectrum, inverse_walk, longest_walk_arrows,
                     node_contributions, other_maximal_path, parse_walk,
                     reduce_band, reduce_beta,
-                    reduce_stalk, reduce_string, reduce_witness, stalk_witness,
+                    reduce_string, reduce_witness, stalk_witness,
                     string_complex, string_witness, trivial_walk,
                     verify_counterexample_a0, witness_family)
 from gentle.complexes import mu_minimal_rotation
@@ -204,6 +204,17 @@ def test_band_degree_zero_vanishes_under_rotation():
                 assert vec.as_dict().get(0, 0) == 0
 
 
+def test_a_non_band_is_rejected_by_the_band_check_and_the_rotation():
+    # reduce_band has no guard of its own: band_witness runs check_band;
+    # mu_minimal_rotation rejects through rotate_walk
+    string = parse_walk(kron, "a")
+    with pytest.raises(PresentationError, match="needs a generalized band"):
+        reduce_band(kron, string)
+    for walk in (string, trivial_walk(kron, "1")):
+        with pytest.raises(PresentationError, match="only bands rotate"):
+            mu_minimal_rotation(kron, walk)
+
+
 def test_unwound_string_is_a_valid_generalized_string():
     band = parse_walk(kron, "a , ~b")
     rotated = mu_minimal_rotation(kron, band)
@@ -216,12 +227,30 @@ def test_unwound_string_is_a_valid_generalized_string():
 
 def test_reduce_stalk():
     for vertex, expected in (("2", 5), ("4", 3), ("1", 2)):
-        trace = reduce_stalk(a0, vertex)
+        trace = reduce_string(a0, trivial_walk(a0, vertex))
         assert trace.output.hl == expected
-        # the stalk is the string complex of the trivial walk
-        assert reduce_string(a0, trivial_walk(a0, vertex)) == trace
+        assert (trace.case_tag, trace.target_node, trace.direction) == \
+            ("GENERAL_Q", 0, "positive")
+        # the stalk witness reduces as the string of its trivial walk
+        assert reduce_witness(a0, stalk_witness(a0, vertex)) == trace
     with pytest.raises(ReductionError):
-        reduce_stalk(a0, "7")
+        reduce_string(a0, trivial_walk(a0, "7"))
+
+
+def test_a_stalk_reduces_the_same_in_both_directions():
+    # the trivial walk is its own inverse, so either direction runs the one
+    # positive search
+    stalks = 0
+    for pres in full_corpus():
+        for v in pres.vertices:
+            if dim_projective(pres, v) <= 1:
+                continue
+            walk = trivial_walk(pres, v)
+            trace = reduce_string(pres, walk)
+            assert trace.direction == "positive"
+            assert reduce_string(pres, walk, negative=True) == trace, (pres.name, v)
+            stalks += 1
+    assert stalks == 63
 
 
 # --- spectra ----------------------------------------------------------------
@@ -323,7 +352,7 @@ def test_each_reduction_ranks_its_output_once(monkeypatch):
     runs = [lambda neg: reduce_string(square, parse_walk(square, "b , ~d"), neg),
             lambda neg: reduce_band(kron, parse_walk(kron, "a , ~b"), 1, 2, neg),
             lambda neg: reduce_band(rnd5, band, Fraction(1, 3), 1, neg),
-            lambda neg: reduce_stalk(a0, "2")]
+            lambda neg: reduce_string(a0, trivial_walk(a0, "2"), neg)]
     kinds, cases = set(), set()
     for run in runs:
         for negative in (False, True):
@@ -386,12 +415,14 @@ def test_reduction_builds_only_the_plans_it_evaluates(monkeypatch):
 
     for name in ("_plan", "_plan_witnesses", "_cut_plans"):
         count(name)
-    for literal, plans in (("a1", 1), ("a1 , a3.a4.a5.a6", 1), ("a2", 1),
-                           ("~a2 , a3.a4.a5.a6", 2)):
+    # the stalk at 2 lands on its one local plan
+    cases = [(parse_walk(a0, literal), plans) for literal, plans in (
+        ("a1", 1), ("a1 , a3.a4.a5.a6", 1), ("a2", 1), ("~a2 , a3.a4.a5.a6", 2))]
+    for walk, plans in cases + [(trivial_walk(a0, "2"), 1)]:
         counts.clear()
-        trace = reduce_string(a0, parse_walk(a0, literal))
+        trace = reduce_string(a0, walk)
         assert trace.output.hl == trace.input.hl - 1
-        assert counts == {"_plan": plans, "_plan_witnesses": plans}, literal
+        assert counts == {"_plan": plans, "_plan_witnesses": plans}, trace.input.literal()
 
 
 def test_a_backward_turn_on_a_single_arrow_has_no_check_path_glue():

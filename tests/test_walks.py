@@ -8,13 +8,15 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentle import (GBA, GST, Letter, Path, PresentationError,
+from gentle import (GBA, GST, Letter, Path, PresentationError, beta_window,
                     canonical_band, canonical_string, classify_walk,
                     enumerate_gba, enumerate_gst, glue_bar, inverse_walk,
                     is_derived_discrete, is_string, longest_walk_arrows,
                     parse_presentation, parse_walk, rotate_walk,
-                    shorten_letter, truncate_first, truncate_last)
+                    shorten_letter, string_complex, trivial_walk,
+                    truncate_first, truncate_last)
 from gentle import walks
+from gentle.cohomology import beta_extension_chains
 from gentle.walks import is_primitive, letter_graph, mu_profile
 
 from corpus import (A0, KRONECKER, RELATION_CYCLE, LINEAR_A5, full_corpus, load,
@@ -339,6 +341,35 @@ def test_truncate_last_acts_on_the_walk_end():
     assert truncate_last(a0, walk, 2).literal() == "a1 , a3"
     inv = inverse_walk(a0, walk)
     assert truncate_first(a0, inv, 2).literal() == "~a3 , ~a1"
+
+
+def _window_is_the_stalk(walk):
+    cx, info = beta_window(a0, walk, 2)
+    return cx == string_complex(a0, walk) and info == {
+        "left_attached": 0, "right_attached": 0,
+        "left_exhausted": True, "right_exhausted": True}
+
+
+def _no_letter_to_truncate(truncate):
+    def check(walk):
+        with pytest.raises(PresentationError, match="trivial walk has no letter"):
+            truncate(a0, walk, 1)
+        return True
+    return check
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda walk: beta_extension_chains(a0, walk) == (None, None),
+                 id="beta_extension_chains"),
+    pytest.param(_window_is_the_stalk, id="beta_window"),
+    pytest.param(_no_letter_to_truncate(truncate_first), id="truncate_first"),
+    pytest.param(_no_letter_to_truncate(truncate_last), id="truncate_last"),
+    pytest.param(is_primitive, id="is_primitive"),
+])
+def test_walk_operations_take_the_trivial_walk(check):
+    # P_2 in degree 0: no kernel chain, its own beta window, no letter to
+    # truncate, and no proper power
+    assert check(trivial_walk(a0, "2"))
 
 
 def test_shorten_letter_drops_the_walk_front():
