@@ -5,9 +5,10 @@ length exactly l - 1 by cutting and regluing its walk: truncate an arrow
 from the letter governing the selected summand, discard the far side, and
 attach relation chains so every newly exposed node contributes nothing.
 Witness vectors are read off the walk in closed form, candidate surgeries
-included.  The exact rank computation stays the independent oracle: it
-checks the one surgery that lands before it is returned, and a surgery that
-misses l - 1 is never returned.
+included, and ``reduce_witness`` reads its input's vector as given.  The
+exact rank computation stays the independent oracle: it checks the one
+surgery that lands before it is returned, and a surgery that misses l - 1
+is never returned.
 
 The surgeries form one lazy stream of plans: the local plans at each target
 node, then cuts at the interior nodes, then stalks, then one round on the
@@ -37,14 +38,16 @@ class ReductionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Witness:
-    """A named indecomposable: a string / beta / band walk, or a stalk on a trivial walk."""
+    """A named indecomposable: a string / beta / band walk, or a stalk on a
+    trivial walk.  ``cohomology`` is the walk's closed-form vector (for a
+    band, at ``mult``); ``reduce_witness`` reads it as given."""
 
     kind: str  # string | beta | band | stalk
-    walk: object = None
+    walk: object
+    cohomology: CohVector
     lam: Fraction | None = None
     mult: int = 1
     shift: int = 0
-    cohomology: CohVector = CohVector(())
 
     @property
     def hl(self):
@@ -75,8 +78,7 @@ class Witness:
 
 def string_witness(pres, walk):
     """A walk's string witness; on the trivial walk at v, the stalk P_v."""
-    return Witness("string" if walk.letters else "stalk", walk=walk,
-                   cohomology=node_sums(pres, walk))
+    return Witness("string" if walk.letters else "stalk", walk, node_sums(pres, walk))
 
 
 def beta_witness(pres, walk):
@@ -86,8 +88,8 @@ def beta_witness(pres, walk):
 def _beta_of(string):
     """The beta witness of a string witness's walk, read off its vector:
     beta erases the lowest degree of the walk and keeps the rest."""
-    return Witness("beta", walk=string.walk, shift=string.shift,
-                   cohomology=string.cohomology.drop_degree(min(string.walk.mu)))
+    return Witness("beta", string.walk, string.cohomology.drop_degree(min(string.walk.mu)),
+                   shift=string.shift)
 
 
 def _with_beta(string):
@@ -100,8 +102,7 @@ def _with_beta(string):
 
 def band_witness(pres, walk, lam=1, mult=1):
     lam = check_band(walk, lam, mult)
-    return Witness("band", walk=walk, lam=lam, mult=mult,
-                   cohomology=band_sums(pres, walk, mult))
+    return Witness("band", walk, band_sums(pres, walk, mult), lam, mult)
 
 
 def stalk_witness(pres, vertex):
@@ -132,31 +133,29 @@ class ReductionTrace:
 # target selection
 
 
+def _top_degrees(witness):
+    """The degrees whose dimension is the witness's length."""
+    return [d for d, v in witness.cohomology.dims if v == witness.hl]
+
+
 def _positive_candidates(pres, witness):
-    """First nonzero summand of each realizing degree, farthest first.
+    """First nonzero summand of each realizing degree, farthest first, and
+    the walk's per-node contributions.
 
     Cutting away the walk prefix keeps the target degree's later summands
     and destroys at least one unit in every other realizing degree, so the
     farthest first-summand is the canonical positive-direction target.
-    A beta witness is read with the lowest degree of its walk erased.
+    The realizing degrees are read off the witness's vector.
     """
-    walk = witness.walk
-    mask_degree = min(walk.mu) if witness.kind == "beta" else None
-    contribs = node_contributions(pres, walk)
-    masses = {}
-    for deg, c in contribs.values():
-        masses[deg] = masses.get(deg, 0) + c
-    top = max((m for d, m in masses.items() if d != mask_degree), default=0)
+    contribs = node_contributions(pres, witness.walk)
     firsts = []
     others = []
-    for deg, mass in masses.items():
-        if mass != top or deg == mask_degree:
-            continue
+    for deg in _top_degrees(witness):
         nodes = sorted(j for j, (d, c) in contribs.items() if d == deg and c > 0)
         firsts.append(nodes[0])
         others.extend(nodes[1:])
     ordered = sorted(firsts, reverse=True) + sorted(others, reverse=True)
-    return ordered, contribs, masses, top
+    return ordered, contribs
 
 
 # ---------------------------------------------------------------------------
@@ -388,26 +387,26 @@ def _cut_plans(pres, walk):
                                           exposed)
 
 
-def _stalk_plans(pres, walk, contribs, masses, top):
+def _stalk_plans(pres, witness, contribs):
     """Brutal truncation to a single projective summand.
 
     Needed where a forward turn shares one unit between both neighbours:
     no letter surgery then reaches l - 1, but one projective of the top
     degree can (its stalk is the complex cut down to that summand)."""
-    top_vertices = [walk.node_vertex(j) for j, (deg, c) in sorted(contribs.items())
-                    if c > 0 and masses[deg] == top]
+    top = _top_degrees(witness)
+    top_vertices = [witness.walk.node_vertex(j) for j, (deg, c) in sorted(contribs.items())
+                    if c > 0 and deg in top]
     for v in dict.fromkeys([*top_vertices, *pres.vertices]):
         yield _Plan("GENERAL_Q", 0, (f"brutal truncation to the projective at {v}",),
                     "string", trivial_walk(pres, v))
 
 
 def _candidate_plans(pres, witness):
-    walk = witness.walk
-    ordered, contribs, masses, top = _positive_candidates(pres, witness)
+    ordered, contribs = _positive_candidates(pres, witness)
     for q in ordered:
-        yield from _local_plans(pres, walk, q)
-    yield from _cut_plans(pres, walk)
-    yield from _stalk_plans(pres, walk, contribs, masses, top)
+        yield from _local_plans(pres, witness.walk, q)
+    yield from _cut_plans(pres, witness.walk)
+    yield from _stalk_plans(pres, witness, contribs)
 
 
 def _plan_witnesses(pres, plan):
@@ -421,11 +420,7 @@ def _plan_witnesses(pres, plan):
 
 def _aligned(input_witness, out):
     """Record the shift matching the output's top degree to the input's."""
-    def top(witness):
-        hl = witness.hl
-        return max((d for d, v in witness.cohomology.dims if v == hl), default=0)
-
-    return replace(out, shift=top(out) - top(input_witness))
+    return replace(out, shift=max(_top_degrees(out)) - max(_top_degrees(input_witness)))
 
 
 def _verified(pres, trace):
@@ -497,60 +492,50 @@ def _invert_witness(pres, witness):
                    cohomology=witness.cohomology.shifted(witness.walk.mu[-1]))
 
 
-def reduce_string(pres, walk, negative=False):
-    """A verified witness of length hl(P_walk) - 1; the trivial walk at v
-    reduces as the stalk P_v."""
-    return _search(pres, string_witness(pres, walk), negative)
-
-
-def _search(pres, witness, negative):
+def _search(pres, witness, negative, name=None):
     """The plan search on the witness, then on its inverse (the other way
-    round when ``negative``).  A beta witness's lengths are read with the
-    walk's lowest degree erased.  The trivial walk is its own inverse, so
-    it is searched once, in the positive direction."""
+    round when ``negative``).  The trivial walk is its own inverse, so it
+    is searched once, in the positive direction.  A failure names the
+    witness by ``name``, its literal by default."""
     l = witness.hl
-    if l <= 1:
-        raise ReductionError("cohomological length is already <= 1")
     directions = ["negative", "positive"] if negative else ["positive", "negative"]
     for direction in directions if witness.walk.letters else ["positive"]:
         base = _invert_witness(pres, witness) if direction == "negative" else witness
         trace = _run_plans(pres, l - 1, _candidate_plans(pres, base), direction, witness)
         if trace is not None:
             return trace
-    walk = witness.walk
-    name = f"beta[{walk.literal()}]" if witness.kind == "beta" else witness.literal()
-    raise ReductionError(f"no verified surgery on {name} reached length {l - 1}")
+    raise ReductionError(f"no verified surgery on {name or witness.literal()} "
+                         f"reached length {l - 1}")
 
 
-def reduce_beta(pres, walk, negative=False):
-    """Reduce a beta witness: lengths are read with the lowest occupied
-    degree of the underlying string erased."""
-    return _reduce_beta(pres, string_witness(pres, walk), negative)
-
-
-def _reduce_beta(pres, plain, negative):
-    witness = _beta_of(plain)
+def _reduce_beta(pres, plain, witness, negative):
+    """Reduce the beta witness of the string witness ``plain``: when beta
+    keeps the length, reduce the underlying string."""
     if plain.hl == witness.hl:
         trace = _search(pres, plain, negative)
-        return ReductionTrace(witness, "BETA_TRUNCATION", trace.target_node,
-                              trace.direction,
-                              ("reduce the underlying string",) + trace.surgery,
-                              trace.output)
-    return replace(_search(pres, witness, negative), case_tag="BETA_TRUNCATION")
+        return ReductionTrace(witness, "BETA_TRUNCATION", trace.target_node, trace.direction,
+                              ("reduce the underlying string",) + trace.surgery, trace.output)
+    trace = _search(pres, witness, negative, f"beta[{witness.walk.literal()}]")
+    return replace(trace, case_tag="BETA_TRUNCATION")
 
 
-def reduce_band(pres, walk, lam=1, mult=1, negative=False):
-    """Unwind a band into the d-fold repeated string and reduce there.
+def reduce_witness(pres, witness, negative=False):
+    """The reduction: a verified witness of length hl - 1, read off the
+    witness's walk and vector as given; ``trace.input`` is ``witness``.
 
-    The band's vector is the beta vector of the unwound string plus one in
-    degree 1, so that beta vector has length l or l - 1."""
-    witness = band_witness(pres, walk, lam, mult)
+    A band is unwound into the d-fold repeated string.  The band's vector
+    is the beta vector of that string plus one in degree 1, so that beta
+    vector has length l or l - 1."""
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
-    rotated = mu_minimal_rotation(pres, walk)
-    unwound = classify_walk(pres, rotated.letters * mult)
-    steps = (f"unwind to the {mult}-fold repeated string",)
+    if witness.kind == "beta":
+        return _reduce_beta(pres, string_witness(pres, witness.walk), witness, negative)
+    if witness.kind != "band":
+        return _search(pres, witness, negative)
+    rotated = mu_minimal_rotation(pres, witness.walk)
+    unwound = classify_walk(pres, rotated.letters * witness.mult)
+    steps = (f"unwind to the {witness.mult}-fold repeated string",)
     plain = string_witness(pres, unwound)
     beta = _beta_of(plain)
     if beta.hl == l - 1:
@@ -559,20 +544,26 @@ def reduce_band(pres, walk, lam=1, mult=1, negative=False):
             steps + ("beta of the unwound string already lands",), beta))
     if beta.hl != l:
         raise ReductionError(
-            f"band {walk.literal()} (lambda={lam}, d={mult}): unwound string has "
-            f"length {plain.hl} / beta {beta.hl}, expected {l} or {l - 1}")
-    inner = _reduce_beta(pres, plain, negative)
+            f"band {witness.walk.literal()} (lambda={witness.lam}, d={witness.mult}): "
+            f"unwound string has length {plain.hl} / beta {beta.hl}, expected {l} or {l - 1}")
+    inner = _reduce_beta(pres, plain, beta, negative)
     return ReductionTrace(witness, "BAND_UNWIND", inner.target_node,
                           inner.direction, steps + inner.surgery, inner.output)
 
 
-def reduce_witness(pres, witness, negative=False):
-    if witness.kind == "beta":
-        return reduce_beta(pres, witness.walk, negative=negative)
-    if witness.kind == "band":
-        return reduce_band(pres, witness.walk, witness.lam, witness.mult,
-                           negative=negative)
-    return reduce_string(pres, witness.walk, negative=negative)
+def reduce_string(pres, walk, negative=False):
+    """Reduce ``walk``'s string witness; the trivial walk at v is the stalk P_v."""
+    return reduce_witness(pres, string_witness(pres, walk), negative)
+
+
+def reduce_beta(pres, walk, negative=False):
+    """Reduce ``walk``'s beta witness: its string's lowest degree erased."""
+    return reduce_witness(pres, beta_witness(pres, walk), negative)
+
+
+def reduce_band(pres, walk, lam=1, mult=1, negative=False):
+    """Reduce the band witness of (walk, lambda, mult)."""
+    return reduce_witness(pres, band_witness(pres, walk, lam, mult), negative)
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,6 @@ def _cyclic(succ, comp):
 class Enumeration:
     walks: tuple[GenWalk, ...]
     complete: bool
-    max_arrows: int
 
 
 def _prefixes(graph, max_arrows):
@@ -402,7 +401,7 @@ def _enumeration(pres, max_arrows, keep):
              if keep(key, back, closed)]
     found.sort(key=lambda item: item[0])
     return Enumeration(tuple(walk for _, walk in found),
-                       graph.longest is not None and graph.longest <= max_arrows, max_arrows)
+                       graph.longest is not None and graph.longest <= max_arrows)
 
 
 def enumerate_gst(pres, max_arrows):

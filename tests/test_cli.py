@@ -153,11 +153,18 @@ def test_reduce_verb():
 
 
 def test_reduce_golden_byte_exact():
-    # both directions glue the chain of the other maximal path a2
-    for flag, suffix in (([], ""), (["--negative"], "_negative")):
-        code, out = run(["reduce", A0_FILE, "--walk", "a3.a4.a5.a6", *flag])
+    # both directions glue the chain of the other maximal path a2; the beta
+    # reduces its underlying string, the band lands on its unwound beta
+    cases = [([A0_FILE, "--walk", "a3.a4.a5.a6"], "a0_reduce_a3_a4_a5_a6"),
+             ([A0_FILE, "--walk", "a3.a4.a5.a6", "--negative"],
+              "a0_reduce_a3_a4_a5_a6_negative"),
+             ([A0_FILE, "--walk", "~a2 , a3.a4.a5.a6", "--beta"], "a0_reduce_beta"),
+             ([KR_FILE, "--walk", "a , ~b", "--band", "--lambda", "1/2", "--mult", "2"],
+              "kronecker_reduce_band")]
+    for args, name in cases:
+        code, out = run(["reduce", *args])
         assert code == 0
-        assert out == (GOLDEN / f"a0_reduce_a3_a4_a5_a6{suffix}.json").read_text()
+        assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_demo_a0_golden_and_exit_code():

@@ -546,3 +546,71 @@ def test_band_rank_pays_only_for_nonzeros():
     dims = cohomology_dims(kron, cx)
     assert time.perf_counter() - start < 0.25
     assert dims == band_sums(kron, band, 2000) == CohVector.from_dict({1: 4000})
+
+
+def test_reduce_witness_reads_its_input_as_given(monkeypatch):
+    # the input's vector is read, not rebuilt: node_sums never runs on the
+    # input walk, except for a beta's underlying string, and the search
+    # reads the walk's node contributions once per direction searched
+    from corpus import random_gentle
+    rnd5 = random_gentle(5)
+    band = parse_walk(rnd5, "r1 , r3.r1 , ~r2 , ~r2.r3")
+    cases = [
+        (a0, string_witness(a0, parse_walk(a0, "a1 , a3.a4.a5.a6"))),
+        (a0, stalk_witness(a0, "2")),
+        # one beta delegates to its underlying string, one runs its own search
+        (a0, beta_witness(a0, parse_walk(a0, "~a2 , a3.a4.a5.a6"))),
+        (rnd5, beta_witness(rnd5, parse_walk(rnd5, "r2 , r4 , ~r4.r5 , r3"))),
+        # one band lands on its unwound beta, one delegates to it
+        (kron, band_witness(kron, parse_walk(kron, "a , ~b"), Fraction(1, 2), 2)),
+        (rnd5, band_witness(rnd5, band, Fraction(1, 3), 1)),
+    ]
+    calls = []
+    for name in ("node_sums", "node_contributions"):
+        real = getattr(nogaps, name)
+        monkeypatch.setattr(nogaps, name, lambda pres, walk, name=name, real=real:
+                            calls.append((name, walk)) or real(pres, walk))
+    kinds = set()
+    for pres, w in cases:
+        # the walk searched, and its inverse: a band's unwound string
+        searched = w.walk
+        if w.kind == "band":
+            rotated = mu_minimal_rotation(pres, w.walk)
+            searched = classify_walk(pres, rotated.letters * w.mult)
+        both = (searched, inverse_walk(pres, searched) if searched.letters else searched)
+        for negative in (False, True):
+            calls.clear()
+            trace = reduce_witness(pres, w, negative=negative)
+            assert trace.input is w and trace.output.hl == w.hl - 1
+            sums = [walk for name, walk in calls if name == "node_sums" and walk == w.walk]
+            assert len(sums) == (w.kind == "beta"), (w.literal(), negative)
+            # a trivial walk is searched once; a band may land unsearched
+            if trace.surgery[-1] == "beta of the unwound string already lands":
+                directions = 0
+            elif (trace.direction == "negative") == negative or not searched.letters:
+                directions = 1
+            else:
+                directions = 2
+            contribs = [walk for name, walk in calls
+                        if name == "node_contributions" and walk in both]
+            assert len(contribs) <= directions, (w.literal(), negative)
+            kinds.add(w.kind)
+    assert kinds == {"string", "stalk", "beta", "band"}
+
+
+def test_reductions_chain_down_to_length_one():
+    # each output is fed back in, shift included, until hl 1: the chain of
+    # the theorem, from every corpus witness
+    steps = shifted = 0
+    for pres in full_corpus():
+        witnesses, _ = witness_family(pres, 5)
+        for w in witnesses:
+            while w.hl > 1:
+                trace = reduce_witness(pres, w)
+                assert trace.input is w, w.literal()
+                assert trace.output.hl == w.hl - 1, w.literal()
+                w = trace.output
+                steps += 1
+                shifted += w.shift != 0
+    assert steps == 3956
+    assert shifted > 0
