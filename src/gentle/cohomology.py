@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PresentationError, dim_projective, maximal_path, other_maximal_path
+from .core import (PresentationError, dim_projective, maximal_path, other_maximal_path,
+                   per_presentation)
 from .exact import rank
 from .walks import classify_walk, glue_bar
 from .complexes import (check_band, differential_matrix, mu_minimal_rotation,
@@ -74,74 +75,83 @@ def cohomology_dims(pres, cx):
 
 
 def node_contributions(pres, walk):
-    """Per-node cohomology of a string complex, in closed form.
-
-    Returns {node j: (degree, dim)}.  End nodes receiving a letter
-    contribute a cokernel count l(p) + l(p-check); end nodes emitting one
-    contribute the kernel count l(tilde of the relation continuation);
-    run interiors contribute letter length - 1; backward turning points
-    add both incident letters; forward turning points contribute 0.
-    A node entered by an inverse letter whose other end is a forward
-    turning point gains one extra unit: the turning point's projective
-    feeds both neighbours through a shared socle vector, so the two
-    image counts overlap in one dimension.  The trivial walk's one node
-    contributes dim P_v.  The grand total per degree matches the rank
-    computation exactly (tested, not assumed).
-    """
-    letters = walk.letters
-    if not letters:
-        return {0: (0, dim_projective(pres, walk.node_vertex(0)))}
-    n = walk.width
-    out = {}
-    for j in range(n + 1):
-        if j == 0:
-            letter = letters[0]
-            if letter.inverse:
-                c = _kernel_count(pres, letter.path)
-            else:
-                c = _cokernel_count(pres, letter.path)
-        elif j == n:
-            letter = letters[-1]
-            if letter.inverse:
-                c = _cokernel_count(pres, letter.path)
-            else:
-                c = _kernel_count(pres, letter.path)
-        else:
-            before, after = letters[j - 1], letters[j]
-            if not before.inverse and not after.inverse:
-                c = after.length - 1
-            elif before.inverse and after.inverse:
-                c = before.length - 1
-            elif before.inverse and not after.inverse:
-                c = before.length + after.length - 1
-            else:
-                c = 0
-        if j >= 2 and letters[j - 1].inverse and not letters[j - 2].inverse:
-            c += 1
-        out[j] = (walk.mu[j], c)
-    return out
-
-
-def _cokernel_count(pres, path):
-    """dim P_s(path) - dim (path . P) = l(path) + l(check)."""
-    check = other_maximal_path(pres, path.arrows[0])
-    return path.length + (check.length if check is not None else 0)
-
-
-def _kernel_count(pres, path):
-    """dim ker of left multiplication by path on P_t(path)."""
-    g = pres.relation_continuation(path.arrows[-1])
-    if g is None:
-        return 0
-    return maximal_path(pres, g).length
+    """Per-node cohomology of a string complex, in closed form:
+    {node j: (degree, dim)}, the counts of :func:`_node_counts`."""
+    return dict(enumerate(zip(walk.mu, _node_counts(pres, walk))))
 
 
 def node_sums(pres, walk):
-    """Degree totals of node_contributions, as a CohVector."""
-    agg = {}
-    for _, (deg, c) in node_contributions(pres, walk).items():
-        agg[deg] = agg.get(deg, 0) + c
-    return CohVector.from_dict(agg)
+    """Degree totals of the closed-form node counts, as a CohVector.
+
+    mu moves by one per letter, so the degrees of the nodes are contiguous
+    and the totals fold into a list indexed from ``min(mu)``."""
+    mu = walk.mu
+    low = min(mu)
+    agg = [0] * (max(mu) - low + 1)
+    for deg, c in zip(mu, _node_counts(pres, walk)):
+        agg[deg - low] += c
+    return CohVector(tuple([(low + k, c) for k, c in enumerate(agg) if c]))
+
+
+def _node_counts(pres, walk):
+    """The cohomology at each node of a string complex, in node order: the
+    one closed form.
+
+    End nodes receiving a letter contribute a cokernel count l(p) +
+    l(p-check); end nodes emitting one contribute the kernel count
+    l(tilde of the relation continuation); run interiors contribute letter
+    length - 1; backward turning points add both incident letters; forward
+    turning points contribute 0.  A node entered by an inverse letter whose
+    other end is a forward turning point gains one extra unit: the turning
+    point's projective feeds both neighbours through a shared socle vector,
+    so the two image counts overlap in one dimension.  The trivial walk's
+    one node contributes dim P_v.  The grand total per degree matches the
+    rank computation exactly (tested, not assumed).
+    """
+    letters = walk.letters
+    if not letters:
+        return [dim_projective(pres, walk.vertex)]
+    ends = _end_counts(pres)
+    first, last = letters[0], letters[-1]
+    try:
+        if first.inverse:
+            head = ends[first.path.arrows[-1]][0]
+        else:
+            head = len(first.path.arrows) + ends[first.path.arrows[0]][1]
+        if last.inverse:
+            tail = len(last.path.arrows) + ends[last.path.arrows[0]][1]
+        else:
+            tail = ends[last.path.arrows[-1]][0]
+    except KeyError as missing:
+        raise PresentationError(f"unknown arrow {missing.args[0]!r}") from None
+    counts = [head]
+    before, before_length = first.inverse, len(first.path.arrows)
+    overlap = False  # the +1 of the node after a forward turn
+    for letter in letters[1:]:
+        after, after_length = letter.inverse, len(letter.path.arrows)
+        if before:
+            c = before_length - 1 if after else before_length + after_length - 1
+        else:
+            c = 0 if after else after_length - 1
+        counts.append(c + overlap)
+        overlap = after and not before
+        before, before_length = after, after_length
+    counts.append(tail + overlap)
+    return counts
+
+
+@per_presentation
+def _end_counts(pres):
+    """Each arrow name -> (the kernel count of a letter whose path ends in
+    the arrow, l(p-check) for a path starting with it): what the two end
+    nodes of a walk read."""
+    counts = {}
+    for a in pres.arrows:
+        g = pres.relation_continuation(a.name)
+        check = other_maximal_path(pres, a.name)
+        counts[a.name] = (maximal_path(pres, g).length if g is not None else 0,
+                          check.length if check is not None else 0)
+    return counts
 
 
 def band_sums(pres, walk, mult):

@@ -152,6 +152,9 @@ def _positive_candidates(pres, witness):
     others = []
     for deg in _top_degrees(witness):
         nodes = sorted(j for j, (d, c) in contribs.items() if d == deg and c > 0)
+        if not nodes:
+            raise ReductionError(f"the vector of {witness.literal()} has length {witness.hl} "
+                                 f"in degree {deg}, where no node of its walk contributes")
         firsts.append(nodes[0])
         others.extend(nodes[1:])
     ordered = sorted(firsts, reverse=True) + sorted(others, reverse=True)
@@ -419,8 +422,11 @@ def _plan_witnesses(pres, plan):
 
 
 def _aligned(input_witness, out):
-    """Record the shift matching the output's top degree to the input's."""
-    return replace(out, shift=max(_top_degrees(out)) - max(_top_degrees(input_witness)))
+    """Record the shift matching the output's top degree to the input's,
+    on top of the input's own shift: along a chain of reductions every
+    output is aligned to the first input."""
+    return replace(out, shift=max(_top_degrees(out)) - max(_top_degrees(input_witness))
+                   + input_witness.shift)
 
 
 def _verified(pres, trace):
@@ -530,13 +536,14 @@ def reduce_witness(pres, witness, negative=False):
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
     if witness.kind == "beta":
-        return _reduce_beta(pres, string_witness(pres, witness.walk), witness, negative)
+        plain = replace(string_witness(pres, witness.walk), shift=witness.shift)
+        return _reduce_beta(pres, plain, witness, negative)
     if witness.kind != "band":
         return _search(pres, witness, negative)
     rotated = mu_minimal_rotation(pres, witness.walk)
     unwound = classify_walk(pres, rotated.letters * witness.mult)
     steps = (f"unwind to the {witness.mult}-fold repeated string",)
-    plain = string_witness(pres, unwound)
+    plain = replace(string_witness(pres, unwound), shift=witness.shift)
     beta = _beta_of(plain)
     if beta.hl == l - 1:
         return _verified(pres, ReductionTrace(

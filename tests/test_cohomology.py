@@ -65,6 +65,17 @@ def test_forward_turning_point_contributes_zero():
     assert contrib[1] == (-1, 0)
 
 
+def test_closed_form_rejects_a_walk_of_another_presentation():
+    # the end nodes read a per-arrow table; an arrow it lacks is the same
+    # PresentationError as every other unknown arrow
+    for pres, walk, arrow in ((a0, parse_walk(kron, "a , ~b"), "a"),
+                              (kron, parse_walk(a0, "a1"), "a1"),
+                              (kron, parse_walk(a0, "~a2 , a3.a4.a5.a6"), "a2")):
+        for closed_form in (node_sums, node_contributions):
+            with pytest.raises(PresentationError, match=f"unknown arrow '{arrow}'"):
+                closed_form(pres, walk)
+
+
 def test_oracle_equivalence_across_corpus():
     """Closed-form node sums equal the rank computation, degree by degree."""
     walks_checked = 0
@@ -160,6 +171,21 @@ def test_node_sums_equal_rank_on_every_corpus_string():
                 cohomology_dims(pres, string_complex(pres, walk)), walk.literal()
             strings += 1
     assert strings == 1721
+
+
+def test_node_sums_fold_node_contributions():
+    # one closed form, two consumers: the degree totals are the fold of the
+    # per-node counts, on every corpus string and every trivial walk
+    walks = 0
+    for pres in full_corpus():
+        stalks = [trivial_walk(pres, v) for v in pres.vertices]
+        for walk in [*enumerate_gst(pres, 6).walks, *stalks]:
+            folded = {}
+            for deg, c in node_contributions(pres, walk).values():
+                folded[deg] = folded.get(deg, 0) + c
+            assert node_sums(pres, walk) == CohVector.from_dict(folded), walk.literal()
+            walks += 1
+    assert walks == 1721 + 106
 
 
 def test_band_sums_equal_rank_on_every_corpus_band():

@@ -15,7 +15,7 @@ from gentle import (GBA, CohVector, PresentationError, ReductionError, cohomolog
                     reduce_band, reduce_beta,
                     reduce_string, reduce_witness, stalk_witness,
                     string_complex, string_witness, trivial_walk,
-                    verify_counterexample_a0, witness_family)
+                    verify_counterexample_a0, Witness, witness_family)
 from gentle.complexes import mu_minimal_rotation
 
 from corpus import (A0, KRONECKER, SQUARE, TWO_RELATION_CHAIN, full_corpus,
@@ -598,18 +598,33 @@ def test_reduce_witness_reads_its_input_as_given(monkeypatch):
     assert kinds == {"string", "stalk", "beta", "band"}
 
 
+def test_reduce_witness_rejects_a_vector_its_walk_cannot_carry():
+    # the vector is read as given: a top degree with no node of the walk
+    # is a ReductionError naming the witness and the degree
+    w = Witness("string", parse_walk(a0, "a1"), CohVector(((5, 9),)))
+    with pytest.raises(ReductionError, match=re.escape("a1 has length 9 in degree 5")):
+        reduce_witness(a0, w)
+
+
 def test_reductions_chain_down_to_length_one():
     # each output is fed back in, shift included, until hl 1: the chain of
     # the theorem, from every corpus witness
+    # every output's top degree, less its shift, is the first input's
+    def top(w):
+        return max(nogaps._top_degrees(w))
+
     steps = shifted = 0
     for pres in full_corpus():
         witnesses, _ = witness_family(pres, 5)
         for w in witnesses:
+            first = w
             while w.hl > 1:
                 trace = reduce_witness(pres, w)
                 assert trace.input is w, w.literal()
                 assert trace.output.hl == w.hl - 1, w.literal()
                 w = trace.output
+                assert top(w) - w.shift == top(first) - first.shift, \
+                    (first.literal(), w.literal())
                 steps += 1
                 shifted += w.shift != 0
     assert steps == 3956
