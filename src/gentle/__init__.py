@@ -15,11 +15,9 @@ from .complexes import (ProjComplex, Summand, band_complex, brutal_truncate,
                         shift, string_complex)
 from .cohomology import (CohVector, band_sums, beta_cohomology, beta_window,
                          cohomology_dims, node_contributions, node_sums)
-from .nogaps import (A0_SOURCE, ReductionError,
-                     ReductionTrace, SpectrumReport, Witness, band_witness,
-                     beta_witness, hl_spectrum, load_builtin, reduce_band,
-                     reduce_beta, reduce_string, reduce_witness,
-                     stalk_witness, string_witness, verify_counterexample_a0,
-                     witness_family)
+from .nogaps import (A0_SOURCE, ReductionError, ReductionTrace,
+                     SpectrumReport, Witness, band_witness, beta_witness,
+                     hl_spectrum, load_builtin, reduce_witness, stalk_witness,
+                     string_witness, verify_counterexample_a0, witness_family)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

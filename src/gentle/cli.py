@@ -27,8 +27,8 @@ from .core import PresentationError, NotComposable, parse_presentation, validate
 from .walks import GBA, enumerate_gba, enumerate_gst, is_derived_discrete, parse_walk
 from .complexes import band_complex, complex_to_json, string_complex
 from .cohomology import beta_cohomology, cohomology_dims
-from .nogaps import (ReductionError, hl_spectrum, reduce_band, reduce_beta,
-                     reduce_string, verify_counterexample_a0)
+from .nogaps import (ReductionError, band_witness, beta_witness, hl_spectrum,
+                     reduce_witness, string_witness, verify_counterexample_a0)
 
 _FRACTION = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -168,12 +168,12 @@ def cmd_reduce(args):
     pres = _load(args.algebra)
     walk = _walk(pres, args)
     if args.band:
-        trace = reduce_band(pres, walk, *_band_parameters(args), negative=args.negative)
+        witness = band_witness(pres, walk, *_band_parameters(args))
     elif args.beta:
-        trace = reduce_beta(pres, walk, negative=args.negative)
+        witness = beta_witness(pres, walk)
     else:
-        trace = reduce_string(pres, walk, negative=args.negative)
-    _emit(trace.to_json())
+        witness = string_witness(pres, walk)
+    _emit(reduce_witness(pres, witness, negative=args.negative).to_json())
     return 0
 
 

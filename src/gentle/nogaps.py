@@ -10,6 +10,12 @@ exact rank computation stays the independent oracle: it checks the one
 surgery that lands before it is returned, and a surgery that misses l - 1
 is never returned.
 
+``reduce_witness`` is the one entry.  A band unwinds to the beta of its
+d-fold string, and a beta whose string keeps the length searches that
+string; every witness then runs one plan search.  Every reduction leaves
+through ``_landed``, the one place a trace is built: it aligns the output's
+top degree to the input's and ranks the output.
+
 The surgeries form one lazy stream of plans: the local plans at each target
 node, then cuts at the interior nodes, then stalks, then one round on the
 near misses.  A plan is built only when the search reaches it, so the search
@@ -88,8 +94,7 @@ def beta_witness(pres, walk):
 def _beta_of(string):
     """The beta witness of a string witness's walk, read off its vector:
     beta erases the lowest degree of the walk and keeps the rest."""
-    return Witness("beta", string.walk, string.cohomology.drop_degree(min(string.walk.mu)),
-                   shift=string.shift)
+    return Witness("beta", string.walk, string.cohomology.drop_degree(min(string.walk.mu)))
 
 
 def _with_beta(string):
@@ -152,9 +157,12 @@ def _positive_candidates(pres, witness):
     others = []
     for deg in _top_degrees(witness):
         nodes = sorted(j for j, (d, c) in contribs.items() if d == deg and c > 0)
-        if not nodes:
+        total = sum(contribs[j][1] for j in nodes)
+        if total < witness.hl:
+            where = f"its walk's nodes contribute only {total}" if total else \
+                "no node of its walk contributes"
             raise ReductionError(f"the vector of {witness.literal()} has length {witness.hl} "
-                                 f"in degree {deg}, where no node of its walk contributes")
+                                 f"in degree {deg}, where {where}")
         firsts.append(nodes[0])
         others.extend(nodes[1:])
     ordered = sorted(firsts, reverse=True) + sorted(others, reverse=True)
@@ -421,39 +429,34 @@ def _plan_witnesses(pres, plan):
     yield from _with_beta(string_witness(pres, plan.walk))
 
 
-def _aligned(input_witness, out):
-    """Record the shift matching the output's top degree to the input's,
-    on top of the input's own shift: along a chain of reductions every
-    output is aligned to the first input."""
-    return replace(out, shift=max(_top_degrees(out)) - max(_top_degrees(input_witness))
-                   + input_witness.shift)
-
-
-def _verified(pres, trace):
-    """The trace, once the rank route agrees with the closed-form vector of
-    its output: the one rank computation of a reduction, stalks included."""
-    out = trace.output
+def _landed(pres, witness, tag, target, direction, steps, out):
+    """The trace of ``witness`` reduced to ``out``, the one place a trace is
+    built.  The output is aligned: its top degree less its shift is the
+    input's, so along a chain of reductions every output is aligned to the
+    first input.  Then it is ranked, the one rank computation of a
+    reduction, and the rank route must agree with its closed-form vector."""
+    out = replace(out, shift=max(_top_degrees(out)) - max(_top_degrees(witness)) + witness.shift)
     if out.kind == "beta":
         ranked = beta_cohomology(pres, out.walk)
     else:
         ranked = cohomology_dims(pres, string_complex(pres, out.walk))
     if ranked != out.cohomology:
         raise ReductionError(f"closed form and rank disagree on {out.literal()}")
-    return trace
+    return ReductionTrace(witness, tag, target, direction, steps, out)
 
 
-def _run_plans(pres, target_hl, plans, direction, input_witness):
-    """First plan whose output has exactly the target length, verified.
+def _run_plans(pres, target_hl, plans):
+    """(plan, steps, output) of the first plan whose output has exactly the
+    target length, or None.
 
     ``plans`` is the lazy stream of ``_candidate_plans``: local plans at each
     target node, then cuts, then stalks, each built only when it is reached.
     When none lands, surgeries that leave the length unchanged (typically a
     glue that levels a second realizing degree) are expanded one more round,
-    on at most 25 near misses; the composed trace lists both stages.  A
-    proposed walk is evaluated once: a repeat cannot land where its first
-    proposal missed."""
+    on at most 25 near misses, each the first proposal of its walk; the
+    composed steps list both stages.  A proposed walk is evaluated once: a
+    repeat cannot land where its first proposal missed."""
     evaluated = set()
-    intermediates = []
 
     def fresh(plan):
         # the set grows exactly when the key is new: one hash per plan
@@ -461,32 +464,19 @@ def _run_plans(pres, target_hl, plans, direction, input_witness):
         evaluated.add((plan.kind, plan.walk))
         return len(evaluated) > seen
 
-    def proposals():
-        """(plan, trace steps, plan to evaluate): the plans, then the plans
-        on each intermediate the first round left."""
-        for plan in filter(fresh, plans):
-            yield plan, plan.steps, plan
-        seen = set()
-        for plan, mid in intermediates:
-            if mid.walk in seen:
-                continue
-            seen.add(mid.walk)
-            if len(seen) > 25:
-                break
-            for inner in filter(fresh, _candidate_plans(pres, mid)):
-                yield plan, plan.steps + ("then, on the intermediate walk:",) + inner.steps, inner
-
-    for plan, steps, proposal in proposals():
-        for cand in _plan_witnesses(pres, proposal):
+    near = {}
+    for plan in filter(fresh, plans):
+        for cand in _plan_witnesses(pres, plan):
             if cand.hl == target_hl:
-                if direction == "negative":
-                    cand = _invert_witness(pres, cand)
-                return _verified(pres, ReductionTrace(
-                    input_witness, plan.tag, plan.target, direction, steps,
-                    _aligned(input_witness, cand)))
-            # only the first round's near misses are expanded, and no stalk
-            if proposal is plan and cand.hl == target_hl + 1 and cand.kind != "stalk":
-                intermediates.append((plan, cand))
+                return plan, plan.steps, cand
+            if cand.hl == target_hl + 1 and cand.kind != "stalk":
+                near.setdefault(cand.walk, (plan, cand))
+    for plan, mid in list(near.values())[:25]:
+        for inner in filter(fresh, _candidate_plans(pres, mid)):
+            for cand in _plan_witnesses(pres, inner):
+                if cand.hl == target_hl:
+                    steps = plan.steps + ("then, on the intermediate walk:",) + inner.steps
+                    return plan, steps, cand
     return None
 
 
@@ -499,30 +489,22 @@ def _invert_witness(pres, witness):
 
 
 def _search(pres, witness, negative, name=None):
-    """The plan search on the witness, then on its inverse (the other way
-    round when ``negative``).  The trivial walk is its own inverse, so it
-    is searched once, in the positive direction.  A failure names the
-    witness by ``name``, its literal by default."""
+    """(plan, steps, direction, output): the plan search on the witness,
+    then on its inverse (the other way round when ``negative``).  The
+    trivial walk is its own inverse, so it is searched once, positive.  A
+    failure names the witness by ``name``, its literal by default."""
     l = witness.hl
     directions = ["negative", "positive"] if negative else ["positive", "negative"]
     for direction in directions if witness.walk.letters else ["positive"]:
         base = _invert_witness(pres, witness) if direction == "negative" else witness
-        trace = _run_plans(pres, l - 1, _candidate_plans(pres, base), direction, witness)
-        if trace is not None:
-            return trace
+        found = _run_plans(pres, l - 1, _candidate_plans(pres, base))
+        if found is not None:
+            plan, steps, out = found
+            if direction == "negative":
+                out = _invert_witness(pres, out)
+            return plan, steps, direction, out
     raise ReductionError(f"no verified surgery on {name or witness.literal()} "
                          f"reached length {l - 1}")
-
-
-def _reduce_beta(pres, plain, witness, negative):
-    """Reduce the beta witness of the string witness ``plain``: when beta
-    keeps the length, reduce the underlying string."""
-    if plain.hl == witness.hl:
-        trace = _search(pres, plain, negative)
-        return ReductionTrace(witness, "BETA_TRUNCATION", trace.target_node, trace.direction,
-                              ("reduce the underlying string",) + trace.surgery, trace.output)
-    trace = _search(pres, witness, negative, f"beta[{witness.walk.literal()}]")
-    return replace(trace, case_tag="BETA_TRUNCATION")
 
 
 def reduce_witness(pres, witness, negative=False):
@@ -531,46 +513,33 @@ def reduce_witness(pres, witness, negative=False):
 
     A band is unwound into the d-fold repeated string.  The band's vector
     is the beta vector of that string plus one in degree 1, so that beta
-    vector has length l or l - 1."""
+    vector has length l, and is searched as a beta, or l - 1, and lands at
+    once.  A beta whose string keeps its length searches that string."""
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
-    if witness.kind == "beta":
-        plain = replace(string_witness(pres, witness.walk), shift=witness.shift)
-        return _reduce_beta(pres, plain, witness, negative)
-    if witness.kind != "band":
-        return _search(pres, witness, negative)
-    rotated = mu_minimal_rotation(pres, witness.walk)
-    unwound = classify_walk(pres, rotated.letters * witness.mult)
-    steps = (f"unwind to the {witness.mult}-fold repeated string",)
-    plain = replace(string_witness(pres, unwound), shift=witness.shift)
-    beta = _beta_of(plain)
-    if beta.hl == l - 1:
-        return _verified(pres, ReductionTrace(
-            witness, "BAND_UNWIND", 0, "positive",
-            steps + ("beta of the unwound string already lands",), beta))
-    if beta.hl != l:
-        raise ReductionError(
-            f"band {witness.walk.literal()} (lambda={witness.lam}, d={witness.mult}): "
-            f"unwound string has length {plain.hl} / beta {beta.hl}, expected {l} or {l - 1}")
-    inner = _reduce_beta(pres, plain, beta, negative)
-    return ReductionTrace(witness, "BAND_UNWIND", inner.target_node,
-                          inner.direction, steps + inner.surgery, inner.output)
-
-
-def reduce_string(pres, walk, negative=False):
-    """Reduce ``walk``'s string witness; the trivial walk at v is the stalk P_v."""
-    return reduce_witness(pres, string_witness(pres, walk), negative)
-
-
-def reduce_beta(pres, walk, negative=False):
-    """Reduce ``walk``'s beta witness: its string's lowest degree erased."""
-    return reduce_witness(pres, beta_witness(pres, walk), negative)
-
-
-def reduce_band(pres, walk, lam=1, mult=1, negative=False):
-    """Reduce the band witness of (walk, lambda, mult)."""
-    return reduce_witness(pres, band_witness(pres, walk, lam, mult), negative)
+    base, tag, steps, name = witness, None, (), None
+    if witness.kind == "band":
+        rotated = mu_minimal_rotation(pres, witness.walk)
+        plain = string_witness(pres, classify_walk(pres, rotated.letters * witness.mult))
+        base, tag = _beta_of(plain), "BAND_UNWIND"
+        steps = (f"unwind to the {witness.mult}-fold repeated string",)
+        if base.hl == l - 1:
+            return _landed(pres, witness, tag, 0, "positive",
+                           steps + ("beta of the unwound string already lands",), base)
+        if base.hl != l:
+            raise ReductionError(
+                f"band {witness.walk.literal()} (lambda={witness.lam}, d={witness.mult}): "
+                f"unwound string has length {plain.hl} / beta {base.hl}, expected {l} or {l - 1}")
+    elif witness.kind == "beta":
+        plain, tag = string_witness(pres, witness.walk), "BETA_TRUNCATION"
+    if base.kind == "beta":
+        if plain.hl == l:
+            base, steps = plain, steps + ("reduce the underlying string",)
+        else:
+            name = f"beta[{base.walk.literal()}]"
+    plan, surgery, direction, out = _search(pres, base, negative, name)
+    return _landed(pres, witness, tag or plan.tag, plan.target, direction, steps + surgery, out)
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +599,9 @@ def hl_spectrum(pres, max_arrows, include_bands=True, reduce_check=False):
             if l <= 1:
                 continue
             try:
-                trace = reduce_witness(pres, achieved[l])
+                reductions.append(reduce_witness(pres, achieved[l]))
             except ReductionError as exc:
                 failures.append(str(exc))
-                continue
-            if trace.output.hl != l - 1:
-                failures.append(f"reduction of {achieved[l].literal()} landed on {trace.output.hl}")
-            else:
-                reductions.append(trace)
     return SpectrumReport(achieved, gaps, complete, max_arrows,
                           len(witnesses), tuple(reductions), tuple(failures))
 

@@ -12,8 +12,7 @@ from gentle import (GBA, CohVector, PresentationError, ReductionError, cohomolog
                     cohomology_dims, enumerate_gba, enumerate_gst,
                     hl_spectrum, inverse_walk, longest_walk_arrows,
                     node_contributions, other_maximal_path, parse_walk,
-                    reduce_band, reduce_beta,
-                    reduce_string, reduce_witness, stalk_witness,
+                    reduce_witness, stalk_witness,
                     string_complex, string_witness, trivial_walk,
                     verify_counterexample_a0, Witness, witness_family)
 from gentle.complexes import mu_minimal_rotation
@@ -38,7 +37,7 @@ def test_node_contributions_two_nodes_in_the_top_degree():
 # --- string reductions ------------------------------------------------------
 
 def test_reduce_base_walk_matches_the_case_three_construction():
-    trace = reduce_string(a0, parse_walk(a0, "a1"))
+    trace = reduce_witness(a0, string_witness(a0, parse_walk(a0, "a1")))
     assert trace.input.hl == 4
     assert trace.output.hl == 3
     assert trace.case_tag == "ONE_SIDED_END"
@@ -48,20 +47,20 @@ def test_reduce_base_walk_matches_the_case_three_construction():
 
 
 def test_reduce_one_sided_start_with_second_maximal_path():
-    trace = reduce_string(a0, parse_walk(a0, "a2"))
+    trace = reduce_witness(a0, string_witness(a0, parse_walk(a0, "a2")))
     assert trace.input.hl == 5 and trace.output.hl == 4
     assert trace.case_tag == "ONE_SIDED_i0"
     assert trace.output.walk.literal() == "~a3.a4.a5.a6 , a2"
 
 
 def test_reduce_interior_case():
-    trace = reduce_string(a0, parse_walk(a0, "a1 , a3.a4.a5.a6"))
+    trace = reduce_witness(a0, string_witness(a0, parse_walk(a0, "a1 , a3.a4.a5.a6")))
     assert trace.input.hl == 3 and trace.output.hl == 2
     assert trace.case_tag == "ONE_SIDED_MID"
 
 
 def test_reduce_backward_turn():
-    trace = reduce_string(a0, parse_walk(a0, "~a2 , a3.a4.a5.a6"))
+    trace = reduce_witness(a0, string_witness(a0, parse_walk(a0, "~a2 , a3.a4.a5.a6")))
     assert trace.input.hl == 4 and trace.output.hl == 3
     assert trace.case_tag == "BACKWARD_TURN"
 
@@ -99,14 +98,14 @@ def test_invert_witness_reads_the_vector_off(monkeypatch):
 
 def test_reduce_rejects_length_one():
     with pytest.raises(ReductionError):
-        reduce_string(a0, parse_walk(a0, "a1 , a3"))
+        reduce_witness(a0, string_witness(a0, parse_walk(a0, "a1 , a3")))
 
 
 def test_negative_direction_also_lands():
     for literal in ("a1", "a2", "a1 , a3.a4.a5.a6", "~a2 , a3.a4.a5.a6"):
         walk = parse_walk(a0, literal)
-        positive = reduce_string(a0, walk)
-        negative = reduce_string(a0, walk, negative=True)
+        positive = reduce_witness(a0, string_witness(a0, walk))
+        negative = reduce_witness(a0, string_witness(a0, walk), negative=True)
         assert positive.output.hl == negative.output.hl == positive.input.hl - 1
         assert negative.direction == "negative"
 
@@ -118,7 +117,7 @@ def test_reductions_land_exactly_across_corpus():
             witness = string_witness(pres, walk)
             if witness.hl <= 1:
                 continue
-            trace = reduce_string(pres, walk)
+            trace = reduce_witness(pres, string_witness(pres, walk))
             assert trace.output.hl == witness.hl - 1, walk.literal()
             out = trace.output
             if out.kind == "beta":
@@ -154,12 +153,12 @@ def test_reduce_beta_guard_case():
     walk = parse_walk(a0, "a1")
     assert beta_witness(a0, walk).hl == 1
     with pytest.raises(ReductionError):
-        reduce_beta(a0, walk)
+        reduce_witness(a0, beta_witness(a0, walk))
 
 
 def test_reduce_beta_delegates_when_bottom_is_quiet():
     walk = parse_walk(a0, "~a2 , a3.a4.a5.a6")
-    trace = reduce_beta(a0, walk)
+    trace = reduce_witness(a0, beta_witness(a0, walk))
     assert trace.case_tag == "BETA_TRUNCATION"
     assert trace.input.hl == 4 and trace.output.hl == 3
 
@@ -173,7 +172,7 @@ def test_reduce_beta_on_loud_bottom():
     masked = beta_witness(pres, walk)
     plain = string_witness(pres, walk)
     assert plain.hl == 5 and masked.hl == 4
-    trace = reduce_beta(pres, walk)
+    trace = reduce_witness(pres, beta_witness(pres, walk))
     assert trace.case_tag == "BETA_TRUNCATION"
     assert trace.output.hl == 3
 
@@ -183,7 +182,7 @@ def test_reduce_beta_on_loud_bottom():
 def test_reduce_band_kronecker():
     band = parse_walk(kron, "a , ~b")
     for d in (1, 2, 3):
-        trace = reduce_band(kron, band, 1, d)
+        trace = reduce_witness(kron, band_witness(kron, band, 1, d))
         assert trace.case_tag == "BAND_UNWIND"
         assert trace.input.hl == 2 * d
         assert trace.output.hl == 2 * d - 1
@@ -192,7 +191,7 @@ def test_reduce_band_kronecker():
 def test_reduce_band_lambda_choices():
     band = parse_walk(square, "a.b , ~c.d")
     for lam in (1, 2, -1, Fraction(1, 2)):
-        trace = reduce_band(square, band, lam, 1)
+        trace = reduce_witness(square, band_witness(square, band, lam, 1))
         assert trace.output.hl == trace.input.hl - 1
 
 
@@ -205,11 +204,11 @@ def test_band_degree_zero_vanishes_under_rotation():
 
 
 def test_a_non_band_is_rejected_by_the_band_check_and_the_rotation():
-    # reduce_band has no guard of its own: band_witness runs check_band;
+    # the reduction has no guard of its own: band_witness runs check_band;
     # mu_minimal_rotation rejects through rotate_walk
     string = parse_walk(kron, "a")
     with pytest.raises(PresentationError, match="needs a generalized band"):
-        reduce_band(kron, string)
+        reduce_witness(kron, band_witness(kron, string))
     for walk in (string, trivial_walk(kron, "1")):
         with pytest.raises(PresentationError, match="only bands rotate"):
             mu_minimal_rotation(kron, walk)
@@ -227,14 +226,14 @@ def test_unwound_string_is_a_valid_generalized_string():
 
 def test_reduce_stalk():
     for vertex, expected in (("2", 5), ("4", 3), ("1", 2)):
-        trace = reduce_string(a0, trivial_walk(a0, vertex))
+        trace = reduce_witness(a0, string_witness(a0, trivial_walk(a0, vertex)))
         assert trace.output.hl == expected
         assert (trace.case_tag, trace.target_node, trace.direction) == \
             ("GENERAL_Q", 0, "positive")
         # the stalk witness reduces as the string of its trivial walk
         assert reduce_witness(a0, stalk_witness(a0, vertex)) == trace
     with pytest.raises(ReductionError):
-        reduce_string(a0, trivial_walk(a0, "7"))
+        reduce_witness(a0, string_witness(a0, trivial_walk(a0, "7")))
 
 
 def test_a_stalk_reduces_the_same_in_both_directions():
@@ -246,9 +245,10 @@ def test_a_stalk_reduces_the_same_in_both_directions():
             if dim_projective(pres, v) <= 1:
                 continue
             walk = trivial_walk(pres, v)
-            trace = reduce_string(pres, walk)
+            trace = reduce_witness(pres, string_witness(pres, walk))
             assert trace.direction == "positive"
-            assert reduce_string(pres, walk, negative=True) == trace, (pres.name, v)
+            assert reduce_witness(pres, string_witness(pres, walk), negative=True) == trace, \
+                (pres.name, v)
             stalks += 1
     assert stalks == 63
 
@@ -345,14 +345,17 @@ def test_each_reduction_ranks_its_output_once(monkeypatch):
         walk = parse_walk(pres, literal)
         for negative in (False, True):
             origins.clear()
-            _ranked_once(origins, reduce_beta(pres, walk, negative=negative))
+            _ranked_once(origins, reduce_witness(pres, beta_witness(pres, walk),
+                                                 negative=negative))
     # a landing on a stalk, the band shortcut, a band delegating to its
     # beta, and a stalk input
     band = parse_walk(rnd5, "r1 , r3.r1 , ~r2 , ~r2.r3")
-    runs = [lambda neg: reduce_string(square, parse_walk(square, "b , ~d"), neg),
-            lambda neg: reduce_band(kron, parse_walk(kron, "a , ~b"), 1, 2, neg),
-            lambda neg: reduce_band(rnd5, band, Fraction(1, 3), 1, neg),
-            lambda neg: reduce_string(a0, trivial_walk(a0, "2"), neg)]
+    runs = [lambda neg: reduce_witness(square, string_witness(square, parse_walk(square, "b , ~d")),
+                                       neg),
+            lambda neg: reduce_witness(kron, band_witness(kron, parse_walk(kron, "a , ~b"), 1, 2),
+                                       neg),
+            lambda neg: reduce_witness(rnd5, band_witness(rnd5, band, Fraction(1, 3), 1), neg),
+            lambda neg: reduce_witness(a0, string_witness(a0, trivial_walk(a0, "2")), neg)]
     kinds, cases = set(), set()
     for run in runs:
         for negative in (False, True):
@@ -369,7 +372,7 @@ def test_disagreeing_rank_fails_the_reduction(monkeypatch):
     # the output check is the rank oracle: a rank that disagrees with the
     # closed form fails the reduction, for a string and for a beta output
     walks = [parse_walk(a0, "a1 , a3.a4.a5.a6"), parse_walk(a0, "a1")]
-    outputs = [reduce_string(a0, walk).output for walk in walks]
+    outputs = [reduce_witness(a0, string_witness(a0, walk)).output for walk in walks]
     assert [out.kind for out in outputs] == ["string", "beta"]
     wrong = lambda *args: CohVector.from_dict({7: 1})
     monkeypatch.setattr(nogaps, "cohomology_dims", wrong)
@@ -377,7 +380,7 @@ def test_disagreeing_rank_fails_the_reduction(monkeypatch):
     for walk, out in zip(walks, outputs):
         text = f"closed form and rank disagree on {out.literal()}"
         with pytest.raises(ReductionError, match=re.escape(text)):
-            reduce_string(a0, walk)
+            reduce_witness(a0, string_witness(a0, walk))
 
 
 def test_reduction_search_evaluates_each_walk_once(monkeypatch):
@@ -393,7 +396,7 @@ def test_reduction_search_evaluates_each_walk_once(monkeypatch):
         if real(pres, walk).hl <= 1:
             continue
         evaluated.clear()
-        trace = reduce_string(pres, walk)
+        trace = reduce_witness(pres, string_witness(pres, walk))
         assert trace.output.hl == trace.input.hl - 1
         # each proposed (kind, walk) is evaluated once; what repeats is a
         # plan re-proposing the input walk, or one walk proposed as string
@@ -420,7 +423,7 @@ def test_reduction_builds_only_the_plans_it_evaluates(monkeypatch):
         ("a1", 1), ("a1 , a3.a4.a5.a6", 1), ("a2", 1), ("~a2 , a3.a4.a5.a6", 2))]
     for walk, plans in cases + [(trivial_walk(a0, "2"), 1)]:
         counts.clear()
-        trace = reduce_string(a0, walk)
+        trace = reduce_witness(a0, string_witness(a0, walk))
         assert trace.output.hl == trace.input.hl - 1
         assert counts == {"_plan": plans, "_plan_witnesses": plans}, trace.input.literal()
 
@@ -465,7 +468,7 @@ def test_band_witness_rejects_a_proper_power():
     for build in (lambda: band_witness(kron, square_band),
                   lambda: cohomology.band_sums(kron, square_band, 1),
                   lambda: band_complex(kron, square_band, 1, 1),
-                  lambda: reduce_band(kron, square_band)):
+                  lambda: reduce_witness(kron, band_witness(kron, square_band))):
         with pytest.raises(PresentationError, match="band a , ~b , a , ~b is a proper power"):
             build()
     # the other rejections keep band_complex's wording
@@ -533,7 +536,7 @@ def test_large_multiplicity_band_stays_fast():
     start = time.perf_counter()
     dims = cohomology_dims(kron, band_complex(kron, band, Fraction(1, 2), 400))
     assert dims == band_sums(kron, band, 400) == CohVector.from_dict({1: 800})
-    assert reduce_band(kron, band, Fraction(1, 2), 400).output.hl == 799
+    assert reduce_witness(kron, band_witness(kron, band, Fraction(1, 2), 400)).output.hl == 799
     assert time.perf_counter() - start < 1
 
 
@@ -599,11 +602,35 @@ def test_reduce_witness_reads_its_input_as_given(monkeypatch):
 
 
 def test_reduce_witness_rejects_a_vector_its_walk_cannot_carry():
-    # the vector is read as given: a top degree with no node of the walk
-    # is a ReductionError naming the witness and the degree
-    w = Witness("string", parse_walk(a0, "a1"), CohVector(((5, 9),)))
-    with pytest.raises(ReductionError, match=re.escape("a1 has length 9 in degree 5")):
-        reduce_witness(a0, w)
+    # the vector is read as given: a top degree where the walk's nodes
+    # contribute less than the length, none at all or too little, is a
+    # ReductionError naming the witness and the degree
+    cases = [(Witness("string", parse_walk(a0, "a1"), CohVector(((5, 9),))),
+              "a1 has length 9 in degree 5"),
+             # the sink 7 carries dim P_7 = 1 in degree 0, not 2
+             (Witness("stalk", trivial_walk(a0, "7"), CohVector(((0, 2),))),
+              "stalk 7 has length 2 in degree 0")]
+    for w, text in cases:
+        with pytest.raises(ReductionError, match=re.escape(text)):
+            reduce_witness(a0, w)
+
+
+def test_a_band_landing_on_its_unwound_beta_is_aligned():
+    # the three sweep bands whose unwound string's beta lands at once: the
+    # output's top degree, less its shift, is the band's
+    from corpus import random_gentle
+
+    def top(w):
+        return max(nogaps._top_degrees(w)) - w.shift
+
+    for seed, literal in ((24, "r1 , ~r8.r7 , ~r5 , r2"), (99, "r1 , ~r6.r4 , ~r4 , r7"),
+                          (123, "r2 , r8 , ~r4.r5 , ~r3")):
+        pres = random_gentle(seed)
+        band = band_witness(pres, parse_walk(pres, literal))
+        for negative in (False, True):
+            trace = reduce_witness(pres, band, negative=negative)
+            assert trace.surgery[-1] == "beta of the unwound string already lands"
+            assert top(trace.output) == top(band), (seed, literal, negative)
 
 
 def test_reductions_chain_down_to_length_one():
