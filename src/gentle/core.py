@@ -87,7 +87,9 @@ class Presentation:
     """A quiver with length-two monomial relations.
 
     The fields are the inputs; lookup tables derived from them are built
-    here, and the ``_memo`` of :func:`per_presentation` starts empty.
+    here, and the ``_memo`` of :func:`per_presentation` starts empty.  The
+    successor table ``_after`` (``_before``) lists each arrow's relation and
+    relation-free successors (predecessors), in arrow order.
     ``validated`` is set by :func:`validate_gentle` and gates the
     operations that rely on gentleness (unique continuations, finite path
     basis).
@@ -107,15 +109,14 @@ class Presentation:
         for a in self.arrows:
             self._out[a.source].append(a)
             self._in[a.target].append(a)
-        # The first hit in out-arrow order; gentleness makes it the only one.
-        self._relation_next = dict.fromkeys(self._arrow_by_name)
-        self._free_next = dict(self._relation_next)
+        # Each entry is indexed by False for relation, True for relation-free.
+        self._after = {a.name: ([], []) for a in self.arrows}
+        self._before = {a.name: ([], []) for a in self.arrows}
         for a in self.arrows:
             for b in self._out[a.target]:
-                in_relation = (a.name, b.name) in self.relations
-                table = self._relation_next if in_relation else self._free_next
-                if table[a.name] is None:
-                    table[a.name] = b.name
+                free = (a.name, b.name) not in self.relations
+                self._after[a.name][free].append(b.name)
+                self._before[b.name][free].append(a.name)
 
     def arrow(self, name):
         try:
@@ -163,17 +164,19 @@ class Presentation:
 
     def relation_continuation(self, arrow_name):
         """The arrow g with (arrow, g) a relation, or None."""
-        return self._continuation(self._relation_next, arrow_name)
+        return self._continuation(arrow_name, False)
 
     def free_continuation(self, arrow_name):
         """The arrow g with (arrow, g) composable and not a relation, or None."""
-        return self._continuation(self._free_next, arrow_name)
+        return self._continuation(arrow_name, True)
 
-    def _continuation(self, table, arrow_name):
+    def _continuation(self, arrow_name, free):
+        """The first hit in out-arrow order; gentleness makes it the only one."""
         try:
-            return table[arrow_name]
+            hits = self._after[arrow_name][free]
         except KeyError:
             raise PresentationError(f"unknown arrow {arrow_name!r}") from None
+        return hits[0] if hits else None
 
 
 def parse_presentation(text):
@@ -269,22 +272,12 @@ def validate_gentle(pres):
                 tuple(a.name for a in ins)))
 
     for a in pres.arrows:
-        rel_after = [b.name for b in pres.out_arrows(a.target) if pres.is_relation(a.name, b.name)]
-        free_after = [b.name for b in pres.out_arrows(a.target) if not pres.is_relation(a.name, b.name)]
-        rel_before = [b.name for b in pres.in_arrows(a.source) if pres.is_relation(b.name, a.name)]
-        free_before = [b.name for b in pres.in_arrows(a.source) if not pres.is_relation(b.name, a.name)]
-        if len(rel_after) > 1:
-            violations.append(Violation(
-                "axiom-2", f"arrow {a.name} has several relation continuations", tuple(rel_after)))
-        if len(rel_before) > 1:
-            violations.append(Violation(
-                "axiom-2", f"arrow {a.name} has several relation predecessors", tuple(rel_before)))
-        if len(free_after) > 1:
-            violations.append(Violation(
-                "axiom-3", f"arrow {a.name} has several relation-free continuations", tuple(free_after)))
-        if len(free_before) > 1:
-            violations.append(Violation(
-                "axiom-3", f"arrow {a.name} has several relation-free predecessors", tuple(free_before)))
+        for free, axiom, kind in ((False, "axiom-2", "relation"), (True, "axiom-3", "relation-free")):
+            for table, side in ((pres._after, "continuations"), (pres._before, "predecessors")):
+                hits = table[a.name][free]
+                if len(hits) > 1:
+                    violations.append(Violation(
+                        axiom, f"arrow {a.name} has several {kind} {side}", tuple(hits)))
 
     # Axiom 4 (relations are length-two monomials) is structural: the parser
     # only admits composable arrow pairs.  Finite dimension = no relation-free
@@ -301,17 +294,11 @@ def validate_gentle(pres):
 
 def _relation_free_cycle(pres):
     """A cycle in the graph (arrows as nodes, edges = allowed compositions)."""
-    order = [a.name for a in pres.arrows]
-    succ = {
-        a.name: [b.name for b in pres.out_arrows(a.target)
-                 if not pres.is_relation(a.name, b.name)]
-        for a in pres.arrows
-    }
-    color = dict.fromkeys(order, 0)  # 0 new, 1 active, 2 done
-    for root in order:
+    color = dict.fromkeys(pres._after, 0)  # 0 new, 1 active, 2 done
+    for root in pres._after:
         if color[root]:
             continue
-        stack = [(root, iter(succ[root]))]
+        stack = [(root, iter(pres._after[root][True]))]
         color[root] = 1
         trail = [root]
         while stack:
@@ -323,7 +310,7 @@ def _relation_free_cycle(pres):
                 if color[nxt] == 0:
                     color[nxt] = 1
                     trail.append(nxt)
-                    stack.append((nxt, iter(succ[nxt])))
+                    stack.append((nxt, iter(pres._after[nxt][True])))
                     advanced = True
                     break
             if not advanced:
@@ -336,17 +323,15 @@ def _relation_free_cycle(pres):
 def _is_connected(pres):
     if not pres.vertices:
         return True
-    adj = {v: set() for v in pres.vertices}
-    for a in pres.arrows:
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
     seen = {pres.vertices[0]}
     todo = [pres.vertices[0]]
     while todo:
-        for w in adj[todo.pop()]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
+        v = todo.pop()
+        for a in pres._out[v] + pres._in[v]:
+            for w in (a.source, a.target):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
     return len(seen) == len(pres.vertices)
 
 

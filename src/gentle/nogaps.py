@@ -144,8 +144,8 @@ def _top_degrees(witness):
 
 
 def _positive_candidates(pres, witness):
-    """First nonzero summand of each realizing degree, farthest first, and
-    the walk's per-node contributions.
+    """First nonzero summand of each realizing degree, farthest first, then
+    every other contributing node of a realizing degree, farthest first.
 
     Cutting away the walk prefix keeps the target degree's later summands
     and destroys at least one unit in every other realizing degree, so the
@@ -165,8 +165,7 @@ def _positive_candidates(pres, witness):
                                  f"in degree {deg}, where {where}")
         firsts.append(nodes[0])
         others.extend(nodes[1:])
-    ordered = sorted(firsts, reverse=True) + sorted(others, reverse=True)
-    return ordered, contribs
+    return sorted(firsts, reverse=True) + sorted(others, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +397,24 @@ def _cut_plans(pres, walk):
                                           exposed)
 
 
-def _stalk_plans(pres, witness, contribs):
+def _stalk_plans(pres, walk, targets):
     """Brutal truncation to a single projective summand.
 
     Needed where a forward turn shares one unit between both neighbours:
     no letter surgery then reaches l - 1, but one projective of the top
     degree can (its stalk is the complex cut down to that summand)."""
-    top = _top_degrees(witness)
-    top_vertices = [witness.walk.node_vertex(j) for j, (deg, c) in sorted(contribs.items())
-                    if c > 0 and deg in top]
+    top_vertices = [walk.node_vertex(j) for j in sorted(targets)]
     for v in dict.fromkeys([*top_vertices, *pres.vertices]):
         yield _Plan("GENERAL_Q", 0, (f"brutal truncation to the projective at {v}",),
                     "string", trivial_walk(pres, v))
 
 
 def _candidate_plans(pres, witness):
-    ordered, contribs = _positive_candidates(pres, witness)
-    for q in ordered:
+    targets = _positive_candidates(pres, witness)
+    for q in targets:
         yield from _local_plans(pres, witness.walk, q)
     yield from _cut_plans(pres, witness.walk)
-    yield from _stalk_plans(pres, witness, contribs)
+    yield from _stalk_plans(pres, witness.walk, targets)
 
 
 def _plan_witnesses(pres, plan):

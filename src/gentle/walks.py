@@ -360,23 +360,25 @@ class Enumeration:
 
 def _prefixes(graph, max_arrows):
     """Every letter sequence along the letter graph with arrow total
-    <= max_arrows, walked with an explicit stack.
+    <= max_arrows, in increasing key order (a prefix before its extensions).
 
     Yields (key, back, mu, closed) on letter positions: the walk's
     positions, those of its inverse walk, its degree profile, and whether
     it closes into a band (mu returns to 0 and the last letter may precede
     the first).  Each is extended by one letter per step, so no prefix is
     rebuilt or classified again; the graph already checked every junction.
+    The roots and the ascending ``succ`` lists go on an explicit stack
+    reversed, so its depth-first pre-order is that key order.
     """
     if max_arrows < 0:
         raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
     succ, inv, length, step = graph.succ, graph.inv, graph.length, graph.step
     stack = [((j,), (inv[j],), length[j], (0, step[j]))
-             for j in range(len(succ)) if length[j] <= max_arrows]
+             for j in reversed(range(len(succ))) if length[j] <= max_arrows]
     while stack:
         key, back, used, mu = stack.pop()
         yield key, back, mu, mu[-1] == 0 and key[0] in succ[key[-1]]
-        for j in succ[key[-1]]:
+        for j in reversed(succ[key[-1]]):
             if used + length[j] <= max_arrows:
                 stack.append((key + (j,), (inv[j],) + back, used + length[j],
                               mu + (mu[-1] + step[j],)))
@@ -392,16 +394,14 @@ def _enumeration(pres, max_arrows, keep):
     sort-key order; complete when the letter graph is acyclic and its
     longest walk fits the bound.
 
-    Positions follow ``Letter.sort_key``, so comparing keys orders walks
-    as ``GenWalk.sort_key`` does.
+    Positions follow ``Letter.sort_key``, so the key order in which
+    ``_prefixes`` walks is the order of ``GenWalk.sort_key``.
     """
     graph = letter_graph(pres)
-    found = [(key, GenWalk(tuple(graph.letters[j] for j in key), GBA if closed else GST, mu))
-             for key, back, mu, closed in _prefixes(graph, max_arrows)
-             if keep(key, back, closed)]
-    found.sort(key=lambda item: item[0])
-    return Enumeration(tuple(walk for _, walk in found),
-                       graph.longest is not None and graph.longest <= max_arrows)
+    walks = tuple(GenWalk(tuple(graph.letters[j] for j in key), GBA if closed else GST, mu)
+                  for key, back, mu, closed in _prefixes(graph, max_arrows)
+                  if keep(key, back, closed))
+    return Enumeration(walks, graph.longest is not None and graph.longest <= max_arrows)
 
 
 def enumerate_gst(pres, max_arrows):

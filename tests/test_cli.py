@@ -140,6 +140,13 @@ def test_incomplete_spectrum_scan_exits_zero():
         assert payload["complete"] is False and payload["gaps"], path
 
 
+def test_no_bands_drops_the_band_witnesses():
+    both = run_json(["spectrum", KR_FILE, "--max-arrows", "4"])
+    strings = run_json(["spectrum", KR_FILE, "--max-arrows", "4", "--no-bands"])
+    assert (both["witnesses"], both["achieved"]["2"]["kind"]) == (11, "band")
+    assert (strings["witnesses"], strings["achieved"]["2"]["kind"]) == (10, "string")
+
+
 def test_reduce_verb():
     payload = run_json(["reduce", A0_FILE, "--walk", "a1"])
     assert payload["input"]["cohomology"]["hl"] == 4
@@ -285,6 +292,19 @@ def test_shared_parser_carries_nothing_between_calls(monkeypatch):
     assert built == []
 
 
+def src_env():
+    """The environment of a fresh interpreter that imports gentle from src."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_python_m_gentle_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "gentle", "validate", "algebras/a0.alg"],
+                          cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(["validate", A0_FILE])[1]
+
+
 def test_closed_pipe_exits_without_traceback(tmp_path):
     pres = random_gentle(5)
     source = tmp_path / "rnd5.alg"
@@ -292,12 +312,10 @@ def test_closed_pipe_exits_without_traceback(tmp_path):
         [f"algebra {pres.name}", "vertices " + " ".join(pres.vertices)]
         + [f"arrow {a.name} : {a.source} -> {a.target}" for a in pres.arrows]
         + [f"rel {a} {b}" for a, b in sorted(pres.relations)]) + "\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     # about 300 kB of output: far more than a pipe buffers
     proc = subprocess.Popen(
         [sys.executable, "-m", "gentle.cli", "enumerate", str(source), "--max-arrows", "9"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
     try:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()

@@ -65,6 +65,35 @@ def test_relation_free_loop_is_infinite_dimensional():
     assert any(v.axiom == "finite-dimension" for v in report.violations)
 
 
+# not gentle: a has two relation and two relation-free continuations, 1 has
+# four in-arrows, and a.d is a relation-free cycle
+CROWDED = ("algebra t\nvertices 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n"
+           "arrow c : 2 -> 1\narrow d : 2 -> 1\narrow e : 2 -> 1\nrel a b\nrel a c\nrel b a\n")
+
+
+def test_validation_report_is_pinned():
+    # apart is disconnected and z has two relation predecessors
+    crowded = parse_presentation(CROWDED)
+    apart = parse_presentation("algebra t\nvertices 1 2 3 4\narrow x : 1 -> 2\n"
+                               "arrow y : 1 -> 2\narrow z : 2 -> 3\nrel x z\nrel y z\n")
+    assert validate_gentle(crowded).to_json() == {"pass": False, "connected": True, "violations": [
+        {"axiom": "axiom-1", "message": "vertex 1 has 4 incoming arrows (max 2)",
+         "items": ["b", "c", "d", "e"]},
+        {"axiom": "axiom-1", "message": "vertex 2 has 4 outgoing arrows (max 2)",
+         "items": ["b", "c", "d", "e"]},
+        {"axiom": "axiom-2", "message": "arrow a has several relation continuations",
+         "items": ["b", "c"]},
+        {"axiom": "axiom-3", "message": "arrow a has several relation-free continuations",
+         "items": ["d", "e"]},
+        {"axiom": "axiom-3", "message": "arrow a has several relation-free predecessors",
+         "items": ["c", "d", "e"]},
+        {"axiom": "finite-dimension", "message": "relation-free oriented cycle",
+         "items": ["a", "d"]}]}
+    assert validate_gentle(apart).to_json() == {"pass": False, "connected": False, "violations": [
+        {"axiom": "axiom-2", "message": "arrow z has several relation predecessors",
+         "items": ["x", "y"]}]}
+
+
 def test_square_zero_loop_is_fine():
     report = validate_gentle(parse_presentation(
         "algebra t\nvertices 1\narrow c : 1 -> 1\nrel c c\n"))
@@ -154,10 +183,8 @@ def _scanned_continuation(pres, arrow_name, relation):
 
 
 def test_continuations_agree_with_a_scan_of_the_out_arrows():
-    # not gentle, never validated: a has two relation and two free continuations
-    crowded = parse_presentation(
-        "algebra t\nvertices 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n"
-        "arrow c : 2 -> 1\narrow d : 2 -> 1\narrow e : 2 -> 1\nrel a b\nrel a c\nrel b a\n")
+    # never validated
+    crowded = parse_presentation(CROWDED)
     assert (crowded.relation_continuation("a"), crowded.free_continuation("a")) == ("b", "d")
     for pres in full_corpus() + [crowded]:
         for a in pres.arrows:
