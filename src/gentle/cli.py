@@ -28,7 +28,8 @@ from .walks import GBA, enumerate_gba, enumerate_gst, is_derived_discrete, parse
 from .complexes import band_complex, complex_to_json, string_complex
 from .cohomology import beta_cohomology, cohomology_dims
 from .nogaps import (ReductionError, band_witness, beta_witness, hl_spectrum,
-                     reduce_witness, string_witness, verify_counterexample_a0)
+                     reduce_witness, string_witness)
+from .demo import verify_counterexample_a0
 
 _FRACTION = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 

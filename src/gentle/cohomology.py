@@ -61,11 +61,24 @@ class CohVector:
 
 
 def cohomology_dims(pres, cx):
-    """dim H^i = dim X^i - rank d^i - rank d^(i-1), by exact elimination."""
+    """dim H^i = dim X^i - rank d^i - rank d^(i-1), by exact elimination.
+
+    This is where d.d = 0 is checked, on the expanded rows about to be
+    ranked: each row of d^(i+1), combined over the rows of d^i, must vanish,
+    or PresentationError is raised.  The rows miss no symbolic composite:
+    the column of a summand's idempotent e holds p.e = p for every path."""
     degrees = cx.degrees()
     # a degree without a differential out of it contributes rank 0
-    ranks = {deg: rank(differential_matrix(pres, cx, deg))
-             for deg in degrees if deg in cx.diffs}
+    rows = {deg: differential_matrix(pres, cx, deg) for deg in degrees if deg in cx.diffs}
+    for deg, below in rows.items():
+        for row in rows.get(deg + 1, ()):
+            acc = {}
+            for mid, x in row.items():
+                for col, y in below[mid].items():
+                    acc[col] = acc.get(col, 0) + x * y
+            if any(acc.values()):
+                raise PresentationError(f"d^2 != 0 in {cx.origin} at degree {deg}")
+    ranks = {deg: rank(r) for deg, r in rows.items()}
     dims = {}
     for deg in degrees:
         h = total_dimension(pres, cx, deg) - ranks.get(deg, 0) - ranks.get(deg - 1, 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import NotComposable, PresentationError, _vertex_basis, compose, left_action
+from .core import NotComposable, PresentationError, _vertex_basis, left_action
 from .walks import GBA, is_primitive, rotate_walk
 
 _ONE = Fraction(1)
@@ -52,12 +52,16 @@ class ProjComplex:
         return not self.summands
 
 
-def _walk_complex(pres, walk, nodes, lam, d, origin):
+def _walk_complex(walk, nodes, lam, d, origin):
     """Lay out ``nodes`` nodes of the walk, d copies each, in degree mu(j),
     and write one entry per copy for each letter: inverse letters map
     forward along the walk, direct letters backward.  A band's closing letter
     returns to node 0 and carries lam on the diagonal and 1 on the
-    superdiagonal; every other letter carries the identity."""
+    superdiagonal; every other letter carries the identity.
+
+    d.d = 0 is not checked here: ``classify_walk`` has already required
+    every same-direction junction to compose into a relation, and
+    ``cohomology_dims`` checks d.d = 0 on the rows it ranks."""
     mu = walk.mu
     summands = {}
     first = []
@@ -82,15 +86,13 @@ def _walk_complex(pres, walk, nodes, lam, d, origin):
             if closing and i + 1 < d:
                 key = (row0 + i, col0 + i + 1)
                 entries[key] = entries.get(key, ()) + ((letter.path, _ONE),)
-    cx = ProjComplex({deg: tuple(s) for deg, s in summands.items()}, diffs,
-                     origin=origin)
-    _assert_d_squared_zero(pres, cx)
-    return cx
+    return ProjComplex({deg: tuple(s) for deg, s in summands.items()}, diffs,
+                       origin=origin)
 
 
 def string_complex(pres, walk):
     """The minimal string complex of a walk; the trivial walk at v gives P_v."""
-    return _walk_complex(pres, walk, walk.width + 1, None, 1,
+    return _walk_complex(walk, walk.width + 1, None, 1,
                          f"string:{walk.literal()}")
 
 
@@ -121,7 +123,7 @@ def band_complex(pres, walk, lam, d):
     closing letter direct, and degree 0 carries no cohomology."""
     lam = check_band(walk, lam, d)
     walk = mu_minimal_rotation(pres, walk)
-    return _walk_complex(pres, walk, walk.width, lam, d,
+    return _walk_complex(walk, walk.width, lam, d,
                          f"band:{walk.literal()}:lam={lam}:d={d}")
 
 
@@ -139,23 +141,6 @@ def shift(cx, k):
             for key, terms in entries.items()
         }
     return ProjComplex(summands, diffs, origin=cx.origin + f"[{k}]")
-
-
-def brutal_truncate(cx, j):
-    """Drop all degrees below j, including the differential into degree j."""
-    summands = {deg: s for deg, s in cx.summands.items() if deg >= j}
-    diffs = {deg: m for deg, m in cx.diffs.items() if deg >= j}
-    return ProjComplex(summands, diffs, origin=cx.origin + f"|>={j}")
-
-
-def check_minimal(cx):
-    """Every differential term lands in the radical (path length >= 1)."""
-    for entries in cx.diffs.values():
-        for terms in entries.values():
-            for path, _ in terms:
-                if path.is_trivial():
-                    return False
-    return True
 
 
 def differential_matrix(pres, cx, degree):
@@ -201,30 +186,6 @@ def _slot_offsets(basis, summands):
 def total_dimension(pres, cx, degree):
     basis, _ = _vertex_basis(pres)
     return sum(len(basis[s.vertex]) for s in cx.summands.get(degree, ()))
-
-
-def _assert_d_squared_zero(pres, cx):
-    """Symbolic d.d = 0 check; encodes the relation conditions of the walk."""
-    for deg in cx.diffs:
-        if deg + 1 not in cx.diffs:
-            continue
-        first = cx.diffs[deg]
-        second = cx.diffs[deg + 1]
-        acc = {}
-        for (i, j), terms1 in first.items():
-            for (j2, k), terms2 in second.items():
-                if j != j2:
-                    continue
-                for p1, s1 in terms1:
-                    for p2, s2 in terms2:
-                        prod = compose(pres, p2, p1)
-                        if prod is None:
-                            continue
-                        key = (i, k, prod.arrows)
-                        acc[key] = acc.get(key, Fraction(0)) + s1 * s2
-        bad = {k: v for k, v in acc.items() if v != 0}
-        if bad:
-            raise PresentationError(f"d^2 != 0 in {cx.origin} at degree {deg}: {bad}")
 
 
 def complex_to_json(pres, cx):

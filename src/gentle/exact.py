@@ -36,26 +36,3 @@ def rank(rows):
                 else:
                     del vec[col]
     return len(pivots)
-
-
-def rank_gauss(rows):
-    """Plain Gaussian elimination over Fraction; independent check route."""
-    m = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        for i in range(r + 1, len(m)):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r

@@ -1,4 +1,4 @@
-"""Constructive length reduction, spectrum scans, and the A0 check.
+"""Constructive length reduction and spectrum scans.
 
 Given a witness of cohomological length l > 1 this module produces one of
 length exactly l - 1 by cutting and regluing its walk: truncate an arrow
@@ -28,11 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (PresentationError, maximal_path, other_maximal_path,
-                   parse_presentation, validate_gentle)
-from .walks import (Letter, classify_walk, enumerate_gba,
-                    enumerate_gst, glue_bar, inverse_walk, is_derived_discrete,
-                    longest_walk_arrows, mu_profile, shorten_letter, trivial_walk)
+from .core import maximal_path, other_maximal_path
+from .walks import (Letter, classify_walk, enumerate_gba, enumerate_gst, glue_bar,
+                    inverse_walk, mu_profile, shorten_letter, trivial_walk)
 from .complexes import check_band, mu_minimal_rotation, string_complex
 from .cohomology import (CohVector, band_sums, beta_cohomology, cohomology_dims,
                          node_contributions, node_sums)
@@ -291,10 +289,8 @@ def _end_plans(pres, side, letters, q, one_sided):
                                       [f"drop the single-arrow {side.first} letter"],
                                       letters[1:])
         return
-    g = pres.relation_continuation(first.path.arrows[-1])
-    if g is None:
-        return
-    tilde = maximal_path(pres, g)
+    # a target's count l(tilde of the relation continuation) is > 0, so it exists
+    tilde = maximal_path(pres, pres.relation_continuation(first.path.arrows[-1]))
     if side is _END:
         tag = "ONE_SIDED_END" if one_sided else "GENERAL_Q"
         if tilde.length >= 2:
@@ -601,75 +597,3 @@ def hl_spectrum(pres, max_arrows, include_bands=True, reduce_check=False):
                 failures.append(str(exc))
     return SpectrumReport(achieved, gaps, complete, max_arrows,
                           len(witnesses), tuple(reductions), tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# the built-in presentations and the A0 verification
-
-
-A0_SOURCE = """\
-# seven vertices, one length-two relation
-algebra a0
-vertices 1 2 3 4 5 6 7
-arrow a1 : 1 -> 2
-arrow a2 : 2 -> 3
-arrow a3 : 2 -> 4
-arrow a4 : 4 -> 5
-arrow a5 : 5 -> 6
-arrow a6 : 6 -> 7
-rel a1 a3
-"""
-
-
-def load_builtin(source):
-    pres = parse_presentation(source)
-    report = validate_gentle(pres)
-    if not report.ok:
-        raise PresentationError("built-in presentation failed validation")
-    return pres
-
-
-def verify_counterexample_a0():
-    """Exhaustive scan of A0: length range 8 is achieved, 7 is not.
-
-    Returns the full report including every check outcome; the stated
-    expectation of global width 3 is recorded next to the computed value,
-    which is 2 (no walk of this algebra carries cohomology in three
-    consecutive degrees; 3 is the maximal width of the complexes).
-    """
-    pres = load_builtin(A0_SOURCE)
-    discrete = is_derived_discrete(pres)
-    bound = longest_walk_arrows(pres)
-    witnesses, complete = witness_family(pres, bound, include_bands=True)
-    hr_values = {}
-    hl_max = 0
-    hw_max = 0
-    for w in witnesses:
-        vec = w.cohomology
-        if vec.hr and vec.hr not in hr_values:
-            hr_values[vec.hr] = w
-        hl_max = max(hl_max, vec.hl)
-        hw_max = max(hw_max, vec.hw)
-    base = string_witness(pres, classify_walk(pres, [Letter(pres.path(["a1"]))]))
-    checks = {
-        "gentle": validate_gentle(pres).ok,
-        "derived_discrete": discrete.discrete,
-        "enumeration_complete": complete,
-        "hr_8_achieved": 8 in hr_values,
-        "hr_7_absent": 7 not in hr_values,
-        "base_walk_hr_8": base.cohomology.hr == 8,
-        "gl_hw_equals_3": hw_max == 3,
-        "gl_hl_at_most_6": hl_max <= 6,
-    }
-    return {
-        "algebra": pres.name,
-        "max_arrows": bound,
-        "witnesses": len(witnesses),
-        "hr_achieved": sorted(hr_values),
-        "gl_hl": hl_max,
-        "gl_hw": hw_max,
-        "expected_gl_hw": 3,
-        "base_walk": base.to_json(),
-        "checks": checks,
-        "pass": all(checks.values()),
-    }

@@ -145,23 +145,6 @@ def trivial_walk(pres, vertex):
     return GenWalk((), GST, (0,), vertex)
 
 
-def is_string(pres, letters):
-    """Membership in St: arrow letters, no backtrack, no relation subword."""
-    letters = tuple(letters)
-    if any(l.length != 1 for l in letters):
-        return False
-    for a, b in zip(letters, letters[1:]):
-        if a.target != b.source:
-            return False
-        if b == a.inverted():
-            return False
-        if not a.inverse and not b.inverse and pres.is_relation(a.path.arrows[-1], b.path.arrows[0]):
-            return False
-        if a.inverse and b.inverse and pres.is_relation(b.path.arrows[-1], a.path.arrows[0]):
-            return False
-    return True
-
-
 def inverse_walk(pres, walk):
     if not walk.letters:
         return walk
@@ -174,12 +157,6 @@ def rotate_walk(pres, walk, k):
     n = walk.width
     k %= n
     return classify_walk(pres, walk.letters[k:] + walk.letters[:k])
-
-
-def canonical_string(pres, walk):
-    """Representative of {w, w^-1} under the fixed letter order."""
-    inv = inverse_walk(pres, walk)
-    return min(walk, inv, key=GenWalk.sort_key)
 
 
 def canonical_band(pres, walk):
@@ -205,35 +182,6 @@ def is_primitive(walk):
     """True unless the letter sequence is a proper power; the trivial walk
     is no power and so primitive."""
     return _period(walk.letters) == walk.width
-
-
-def truncate_first(pres, walk, j):
-    """Drop the first j arrows of the first letter (the whole letter at j = length)."""
-    return _truncate(pres, walk, j, first=True)
-
-
-def truncate_last(pres, walk, j):
-    """Drop the last j arrows of the last letter."""
-    return _truncate(pres, walk, j, first=False)
-
-
-def _truncate(pres, walk, j, first):
-    """The walk-back of the last letter is the walk-front of its inverted
-    letter, so both ends trim through ``shorten_letter``."""
-    if j == 0:
-        return walk
-    if not walk.letters:
-        raise PresentationError("the trivial walk has no letter to truncate")
-    letter = walk.letters[0] if first else walk.letters[-1].inverted()
-    if j > letter.length:
-        raise PresentationError("cannot truncate past one letter")
-    rest = walk.letters[1:] if first else walk.letters[:-1]
-    kept = shorten_letter(pres, letter, j)
-    if kept is None:
-        if not rest:
-            raise PresentationError("truncation emptied the walk")
-        return classify_walk(pres, rest)
-    return classify_walk(pres, (kept,) + rest if first else rest + (kept.inverted(),))
 
 
 def shorten_letter(pres, letter, drop):
@@ -409,7 +357,7 @@ def enumerate_gst(pres, max_arrows):
 
     The transition graph is closed under inversion, so each {w, w^-1} is
     reached once in each orientation and emitted once, in the orientation
-    that ``canonical_string`` picks.  The completeness flag is exact: it is
+    that is least under ``GenWalk.sort_key``.  The completeness flag is exact: it is
     set when the letter-transition graph is acyclic and the longest
     possible walk fits the bound.
     """

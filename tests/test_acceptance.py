@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from gentle import (A0_SOURCE, band_complex,
-                    beta_cohomology, beta_window, check_minimal, classify_walk,
+                    beta_cohomology, beta_window, classify_walk,
                     cohomology_dims, differential_matrix, enumerate_gba,
                     enumerate_gst, hl_spectrum, load_builtin,
                     longest_walk_arrows, node_sums, parse_walk,
@@ -26,6 +26,7 @@ from gentle.complexes import mu_minimal_rotation, total_dimension
 from gentle.exact import rank
 
 from corpus import full_corpus
+from oracles import check_minimal
 
 ROOT = Path(__file__).resolve().parent.parent
 A0_FILE = str(ROOT / "algebras" / "a0.alg")
@@ -228,7 +229,7 @@ def test_criterion_6_structural_invariants():
     problems = []
     for pres in CORPUS:
         for walk in enumerate_gst(pres, 7).walks[:200]:
-            cx = string_complex(pres, walk)  # asserts d.d = 0 on build
+            cx = string_complex(pres, walk)  # cohomology_dims asserts d.d = 0 on rank
             built += 1
             if not check_minimal(cx):
                 problems.append((pres.name, walk.literal(), "minimality"))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gentle import cli
+from gentle import cli, nogaps
 from gentle.cli import main
 
 from corpus import random_gentle
@@ -132,6 +132,22 @@ def test_spectrum_verb_exit_codes():
     assert payload["reduction_failures"] == []
 
 
+def test_spectrum_reduction_failure_exits_three(monkeypatch):
+    real = nogaps.reduce_witness
+
+    def failing(pres, witness, negative=False):
+        if witness.hl == 4:
+            raise nogaps.ReductionError("no surgery at length 4")
+        return real(pres, witness, negative)
+
+    monkeypatch.setattr(nogaps, "reduce_witness", failing)
+    code, out = run(["spectrum", A0_FILE, "--max-arrows", "10", "--reduce-check"])
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["reduction_failures"] == ["no surgery at length 4"]
+    assert sorted(t["input"]["cohomology"]["hl"] for t in payload["reductions"]) == [2, 3, 5, 6]
+
+
 def test_incomplete_spectrum_scan_exits_zero():
     # below the top of a bounded scan a gap is a length the scan did not
     # reach, not a counterexample: exit 2 needs a complete scan
@@ -184,6 +200,15 @@ def test_demo_a0_golden_and_exit_code():
     assert payload["checks"]["hr_8_achieved"] and payload["checks"]["hr_7_absent"]
 
 
+def test_complex_verb_goldens():
+    for name, argv in (("a0_complex_a1_a3", [A0_FILE, "--walk", "a1 , a3"]),
+                       ("kronecker_complex_band", [KR_FILE, "--walk", "a , ~b", "--band",
+                                                   "--lambda", "1/2", "--mult", "2"])):
+        code, out = run(["complex", *argv])
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_walk_literals_round_trip_through_the_cli():
     payload = run_json(["enumerate", A0_FILE, "--max-arrows", "6"])
     for literal in payload["strings"]:
@@ -211,6 +236,11 @@ def test_input_errors_exit_one(tmp_path, capsys):
     dotted = tmp_path / "dotted.alg"
     dotted.write_text("vertices 1 2 3\narrow a.b : 1 -> 2\narrow ~c : 2 -> 3\nrel a.b ~c\n")
     power = ["--walk", "a , ~b , a , ~b", "--band"]
+    crowded = tmp_path / "crowded.alg"
+    crowded.write_text("algebra t\nvertices 1 2\n"
+                       "arrow a : 1 -> 2\narrow b : 1 -> 2\narrow c : 1 -> 2\n")
+    string_as_band = ["cohomology", A0_FILE, "--walk", "a1", "--band"]
+    not_gentle = ["basis", str(crowded)]
     for argv in (["validate", str(empty)],
                  ["validate", str(not_utf8)],
                  ["validate", str(dotted)],
@@ -223,6 +253,8 @@ def test_input_errors_exit_one(tmp_path, capsys):
                  ["cohomology", KR_FILE] + power,
                  ["reduce", KR_FILE] + power,
                  ["reduce", A0_FILE, "--walk", "a1 , a2"],
+                 string_as_band,
+                 not_gentle,
                  ["cohomology", A0_FILE, "--walk", "a1 , a2"],
                  # band parameters without --band
                  ["complex", A0_FILE, "--walk", "a1", "--mult", "2"],
@@ -243,6 +275,10 @@ def test_input_errors_exit_one(tmp_path, capsys):
             assert "walk 'a1 , a2'" in error and "junction 0" in error, argv
         if "a1." in argv or "a3..a4" in argv:
             assert "empty arrow name" in error, argv
+        if argv == string_as_band:
+            assert "is not a band" in error, error
+        if argv == not_gentle:
+            assert "is not gentle" in error, error
     with pytest.raises(SystemExit) as help_exit:
         run(["--help"])
     assert help_exit.value.code == 0

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from gentle import (GBA, CohVector, PresentationError, band_complex, band_sums,
-                    beta_cohomology, beta_window, cohomology_dims, dim_projective, enumerate_gba,
-                    enumerate_gst, node_contributions, node_sums,
+from gentle import (GBA, CohVector, PresentationError, ProjComplex, Summand, band_complex,
+                    band_sums, beta_cohomology, beta_window, cohomology_dims, dim_projective,
+                    enumerate_gba, enumerate_gst, node_contributions, node_sums,
                     parse_walk, stalk_witness, string_complex, trivial_walk)
 
 from corpus import A0, KRONECKER, RELATION_CYCLE, TWO_RELATION_CHAIN, full_corpus, load
@@ -42,6 +42,26 @@ def test_stalk_vector():
     assert stalks >= 100
     with pytest.raises(PresentationError, match="unknown vertex '8'"):
         trivial_walk(a0, "8")
+
+
+def _two_step(pres, first, second):
+    """Hand-built P_t(first) -> P_s(first) -> P_s(second) in degrees 0, 1, 2,
+    each map left multiplication by one arrow; no walk is classified."""
+    a, b = pres.arrow(first), pres.arrow(second)
+    assert a.source == b.target
+    return ProjComplex({0: (Summand(a.target, 0),), 1: (Summand(a.source, 1),),
+                        2: (Summand(b.source, 2),)},
+                       {0: {(0, 0): ((pres.arrow_path(first), Fraction(1)),)},
+                        1: {(0, 0): ((pres.arrow_path(second), Fraction(1)),)}},
+                       origin=f"{first}-then-{second}")
+
+
+def test_rank_route_rejects_a_non_complex():
+    # a1.a2 is not a relation of A0, so P_3 -a2-> P_2 -a1-> P_1 squares to
+    # a1.a2 != 0; a1.a3 is, so P_4 -a3-> P_2 -a1-> P_1 is a complex
+    with pytest.raises(PresentationError, match=r"d\^2 != 0 in a2-then-a1 at degree 0"):
+        cohomology_dims(a0, _two_step(a0, "a2", "a1"))
+    assert cohomology_dims(a0, _two_step(a0, "a3", "a1")).as_dict() == {2: 1}
 
 
 def test_zero_vector_conventions():

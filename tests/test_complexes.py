@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gentle import (NotComposable, band_complex, brutal_truncate, check_minimal,
-                    cohomology_dims, complex_to_json,
+from gentle import (NotComposable, band_complex, cohomology_dims, complex_to_json,
                     differential_matrix, enumerate_gba,
                     enumerate_gst, inverse_walk, parse_walk, shift,
                     string_complex, trivial_walk)
@@ -13,6 +12,7 @@ from gentle.complexes import ProjComplex, Summand, total_dimension
 from gentle.exact import rank
 
 from corpus import A0, KRONECKER, SQUARE, full_corpus, load
+from oracles import brutal_truncate, check_minimal
 
 a0 = load(A0)
 kron = load(KRONECKER)

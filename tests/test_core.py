@@ -37,6 +37,14 @@ def test_parse_rejects_non_composable_relation():
     ("vertices 1 2\narrow a.b : 1 -> 2\n", "contains '.', ',' or '~'"),
     ("vertices 1 2\narrow ~c : 1 -> 2\n", "contains '.', ',' or '~'"),
     ("vertices 1 2\narrow c,d : 1 -> 2\n", "contains '.', ',' or '~'"),
+    ("algebra a b\nvertices 1\n", "exactly one name"),
+    ("vertices\n", "at least one id"),
+    ("vertices 1 2\narrow a : 1 -> 2\narrow a : 1 -> 2\n", "duplicate arrow 'a'"),
+    ("vertices 1\narrow a : 2 -> 1\n", "unknown vertex '2'"),
+    ("vertices 1\narrow a : 1 -> 1\nrel a\n", "expected 'rel A B'"),
+    ("vertices 1\narrow a : 1 -> 1\nrel a b\n", "unknown arrow 'b'"),
+    ("vertices 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\nrel a b\nrel a b\n",
+     "duplicate relation a b"),
 ])
 def test_parse_errors_carry_line_numbers(text, match):
     with pytest.raises(PresentationError, match=match) as err:

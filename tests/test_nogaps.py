@@ -605,14 +605,18 @@ def test_reduce_witness_rejects_a_vector_its_walk_cannot_carry():
     # the vector is read as given: a top degree where the walk's nodes
     # contribute less than the length, none at all or too little, is a
     # ReductionError naming the witness and the degree
-    cases = [(Witness("string", parse_walk(a0, "a1"), CohVector(((5, 9),))),
+    cases = [(a0, Witness("string", parse_walk(a0, "a1"), CohVector(((5, 9),))),
               "a1 has length 9 in degree 5"),
              # the sink 7 carries dim P_7 = 1 in degree 0, not 2
-             (Witness("stalk", trivial_walk(a0, "7"), CohVector(((0, 2),))),
-              "stalk 7 has length 2 in degree 0")]
-    for w, text in cases:
+             (a0, Witness("stalk", trivial_walk(a0, "7"), CohVector(((0, 2),))),
+              "stalk 7 has length 2 in degree 0"),
+             # a band's length is its unwound beta's, or one more
+             (kron, Witness("band", parse_walk(kron, "a , ~b"), CohVector(((1, 5),)),
+                            Fraction(1)),
+              "unwound string has length 1 / beta 1, expected 5 or 4")]
+    for pres, w, text in cases:
         with pytest.raises(ReductionError, match=re.escape(text)):
-            reduce_witness(a0, w)
+            reduce_witness(pres, w)
 
 
 def test_a_band_landing_on_its_unwound_beta_is_aligned():

@@ -9,18 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentle import (GBA, GST, Letter, Path, PresentationError, beta_window,
-                    canonical_band, canonical_string, classify_walk,
-                    enumerate_gba, enumerate_gst, glue_bar, inverse_walk,
-                    is_derived_discrete, is_string, longest_walk_arrows,
-                    parse_presentation, parse_walk, rotate_walk,
-                    shorten_letter, string_complex, trivial_walk,
-                    truncate_first, truncate_last)
+                    canonical_band, classify_walk, enumerate_gba, enumerate_gst,
+                    glue_bar, inverse_walk, is_derived_discrete,
+                    longest_walk_arrows, parse_presentation, parse_walk,
+                    rotate_walk, shorten_letter, string_complex, trivial_walk)
 from gentle import walks
 from gentle.cohomology import beta_extension_chains
 from gentle.walks import is_primitive, letter_graph, mu_profile
 
 from corpus import (A0, KRONECKER, RELATION_CYCLE, LINEAR_A5, full_corpus, load,
                     random_gentle)
+from oracles import canonical_string, is_string, truncate_first, truncate_last
 
 a0 = load(A0)
 kron = load(KRONECKER)
