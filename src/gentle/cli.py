@@ -3,11 +3,12 @@
 Exit codes: 0 all checks pass, 1 input error (a usage error included:
 an unknown or missing argument, ``--band`` together with ``--beta``,
 which exclude each other, or ``--lambda`` or ``--mult`` without
-``--band``), 2 a complete spectrum scan found a gap, 3 an
-assertion of the built-in counterexample scan failed, or a reduction failed
-in ``spectrum --reduce-check``.  On an incomplete scan ``gaps`` lists the
-lengths below the top that the bounded scan did not reach, and the exit is
-0.  Every error is a JSON object on stderr.
+``--band``) or a ``reduce`` on which no surgery lands, 2 a complete
+spectrum scan found a gap, 3 an assertion of the built-in counterexample
+scan failed, or a reduction failed in ``spectrum --reduce-check``.  On an
+incomplete scan ``gaps`` lists the lengths below the top that the bounded
+scan did not reach, and the exit is 0.  Every error is a JSON object on
+stderr.
 
 The argument parser is built once per process, on first use
 (``build_parser`` is cached), so repeated in-process ``main`` calls pay
@@ -84,6 +85,13 @@ def _band_parameters(args):
             1 if args.mult is None else args.mult)
 
 
+def _complex(pres, walk, args):
+    """The band complex of a ``--band`` call, the string complex otherwise."""
+    if args.band:
+        return band_complex(pres, walk, *_band_parameters(args))
+    return string_complex(pres, walk)
+
+
 def _parse_lambda(text):
     if not _FRACTION.match(text):
         raise PresentationError(
@@ -136,8 +144,7 @@ def cmd_enumerate(args):
 def cmd_complex(args):
     pres = _load(args.algebra)
     walk = _walk(pres, args)
-    cx = (band_complex(pres, walk, *_band_parameters(args)) if args.band
-          else string_complex(pres, walk))
+    cx = _complex(pres, walk, args)
     _emit({"algebra": pres.name, "walk": walk.literal(), **complex_to_json(pres, cx)})
     return 0
 
@@ -145,12 +152,10 @@ def cmd_complex(args):
 def cmd_cohomology(args):
     pres = _load(args.algebra)
     walk = _walk(pres, args)
-    if args.band:
-        vec = cohomology_dims(pres, band_complex(pres, walk, *_band_parameters(args)))
-    elif args.beta:
+    if args.beta:
         vec = beta_cohomology(pres, walk)
     else:
-        vec = cohomology_dims(pres, string_complex(pres, walk))
+        vec = cohomology_dims(pres, _complex(pres, walk, args))
     _emit(vec.to_json())
     return 0
 
@@ -204,6 +209,19 @@ def build_parser():
         p.add_argument("algebra", help="presentation file")
         return p
 
+    def with_walk(p, beta=True):
+        """The walk arguments of ``complex``, ``cohomology`` and ``reduce``;
+        ``complex`` has no ``--beta``."""
+        p.add_argument("--walk", required=True, help="walk literal, e.g. 'a1 , ~a2.a3'")
+        kind = p.add_mutually_exclusive_group()
+        kind.add_argument("--band", action="store_true")
+        if beta:
+            kind.add_argument("--beta", action="store_true",
+                              help="erase the lowest occupied degree")
+        p.add_argument("--lambda", dest="lam", help="band parameter (exact fraction)")
+        p.add_argument("--mult", type=int, help="band multiplicity d")
+        return p
+
     with_algebra(sub.add_parser("validate", help="check the gentleness axioms")) \
         .set_defaults(func=cmd_validate)
     with_algebra(sub.add_parser("basis", help="path basis and projective dimensions")) \
@@ -214,21 +232,10 @@ def build_parser():
     p.add_argument("--bands", action="store_true", help="also list generalized bands")
     p.set_defaults(func=cmd_enumerate)
 
-    p = with_algebra(sub.add_parser("complex", help="projective complex of a walk"))
-    p.add_argument("--walk", required=True, help="walk literal, e.g. 'a1 , ~a2.a3'")
-    p.add_argument("--band", action="store_true")
-    p.add_argument("--lambda", dest="lam", help="band parameter (exact fraction)")
-    p.add_argument("--mult", type=int, help="band multiplicity d")
-    p.set_defaults(func=cmd_complex)
-
-    p = with_algebra(sub.add_parser("cohomology", help="cohomology dimension vector"))
-    p.add_argument("--walk", required=True)
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--band", action="store_true")
-    kind.add_argument("--beta", action="store_true", help="erase the lowest occupied degree")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--mult", type=int)
-    p.set_defaults(func=cmd_cohomology)
+    with_walk(with_algebra(sub.add_parser("complex", help="projective complex of a walk")),
+              beta=False).set_defaults(func=cmd_complex)
+    with_walk(with_algebra(sub.add_parser("cohomology", help="cohomology dimension vector"))) \
+        .set_defaults(func=cmd_cohomology)
 
     p = with_algebra(sub.add_parser("spectrum", help="achieved cohomological lengths"))
     p.add_argument("--max-arrows", type=int, required=True)
@@ -237,14 +244,9 @@ def build_parser():
                    help="verify a length l-1 witness for every achieved l > 1")
     p.set_defaults(func=cmd_spectrum)
 
-    p = with_algebra(sub.add_parser("reduce", help="construct a witness one length lower"))
-    p.add_argument("--walk", required=True)
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--band", action="store_true")
-    kind.add_argument("--beta", action="store_true")
+    p = with_walk(with_algebra(sub.add_parser("reduce",
+                                              help="construct a witness one length lower")))
     p.add_argument("--negative", action="store_true", help="prefer the mirrored construction")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--mult", type=int)
     p.set_defaults(func=cmd_reduce)
 
     with_algebra(sub.add_parser("discrete", help="decide derived discreteness")) \

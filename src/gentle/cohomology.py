@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from .core import (PresentationError, dim_projective, maximal_path, other_maximal_path,
                    per_presentation)
 from .exact import rank
-from .walks import classify_walk, glue_bar
-from .complexes import (check_band, differential_matrix, mu_minimal_rotation,
-                        shift as shift_complex, string_complex, total_dimension)
+from .walks import _flip, classify_walk, glue_bar, mu_minimal_rotation
+from .complexes import (check_band, differential_matrix, shift as shift_complex,
+                        string_complex, total_dimension)
 
 
 @dataclass(frozen=True)
@@ -199,18 +199,16 @@ def beta_extension_chains(pres, walk):
     """
     if not walk.letters:
         return None, None  # P_v alone has no end letter to resolve
+
+    def chain(letter):
+        g = pres.relation_continuation(letter.path.arrows[-1])
+        return glue_bar(pres, pres.arrow_path(g)) if g is not None else None
+
     mu = walk.mu
     bottom = min(mu)
-    left = right = None
     first, last = walk.letters[0], walk.letters[-1]
-    if mu[0] == bottom and first.inverse:
-        g = pres.relation_continuation(first.path.arrows[-1])
-        if g is not None:
-            left = glue_bar(pres, pres.arrow_path(g))
-    if mu[-1] == bottom and not last.inverse:
-        g = pres.relation_continuation(last.path.arrows[-1])
-        if g is not None:
-            right = glue_bar(pres, pres.arrow_path(g))
+    left = chain(first) if mu[0] == bottom and first.inverse else None
+    right = chain(last) if mu[-1] == bottom and not last.inverse else None
     return left, right
 
 
@@ -224,20 +222,13 @@ def beta_window(pres, walk, steps):
     if steps < 0:
         raise PresentationError("steps must be >= 0")
     left, right = beta_extension_chains(pres, walk)
-    letters = list(walk.letters)
-    info = {"left_attached": 0, "right_attached": 0,
+    head = left.letters(steps) if left is not None else []
+    tail = right.letters(steps) if right is not None else []
+    info = {"left_attached": len(head), "right_attached": len(tail),
             "left_exhausted": left is None or (left.finite and steps >= len(left.preperiod)),
             "right_exhausted": right is None or (right.finite and steps >= len(right.preperiod))}
-    if steps:
-        if left is not None:
-            chain = left.letters(steps) if not left.finite else left.letters()[:steps]
-            info["left_attached"] = len(chain)
-            letters = [l.inverted() for l in reversed(chain)] + letters
-        if right is not None:
-            chain = right.letters(steps) if not right.finite else right.letters()[:steps]
-            info["right_attached"] = len(chain)
-            letters = letters + list(chain)
+    letters = _flip(head) + walk.letters + tuple(tail)
     cx = string_complex(pres, classify_walk(pres, letters) if letters else walk)
     # Prepended inverse letters push the original nodes up one degree each;
     # realign so the window compares degree by degree with the input.
-    return shift_complex(cx, info["left_attached"]), info
+    return shift_complex(cx, len(head)), info

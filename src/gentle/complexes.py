@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import NotComposable, PresentationError, _vertex_basis, left_action
-from .walks import GBA, is_primitive, rotate_walk
+from .walks import GBA, is_primitive, mu_minimal_rotation
 
 _ONE = Fraction(1)
 
@@ -94,11 +94,6 @@ def string_complex(pres, walk):
     """The minimal string complex of a walk; the trivial walk at v gives P_v."""
     return _walk_complex(walk, walk.width + 1, None, 1,
                          f"string:{walk.literal()}")
-
-
-def mu_minimal_rotation(pres, walk):
-    """Rotate a band so its degree profile attains the minimum at node 0."""
-    return rotate_walk(pres, walk, walk.mu.index(min(walk.mu)))
 
 
 def check_band(walk, lam, d):

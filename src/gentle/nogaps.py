@@ -29,9 +29,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import maximal_path, other_maximal_path
-from .walks import (Letter, classify_walk, enumerate_gba, enumerate_gst, glue_bar,
-                    inverse_walk, mu_profile, shorten_letter, trivial_walk)
-from .complexes import check_band, mu_minimal_rotation, string_complex
+from .walks import (Letter, _flip, classify_walk, enumerate_gba, enumerate_gst, glue_bar,
+                    inverse_walk, mu_minimal_rotation, mu_profile, shorten_letter,
+                    trivial_walk)
+from .complexes import check_band, string_complex
 from .cohomology import (CohVector, band_sums, beta_cohomology, cohomology_dims,
                          node_contributions, node_sums)
 
@@ -138,7 +139,8 @@ class ReductionTrace:
 
 def _top_degrees(witness):
     """The degrees whose dimension is the witness's length."""
-    return [d for d, v in witness.cohomology.dims if v == witness.hl]
+    hl = witness.hl
+    return [d for d, v in witness.cohomology.dims if v == hl]
 
 
 def _positive_candidates(pres, witness):
@@ -170,23 +172,16 @@ def _positive_candidates(pres, witness):
 # glue chains as letter lists
 
 
-def _flip(letters):
-    """The letters of the inverse walk: reversed, each one inverted."""
-    return tuple(l.inverted() for l in reversed(letters))
-
-
 def _chain(pres, path, rest):
     """The inverted glue chain of ``path``, to put before ``rest``.
 
-    Returns (letters, is_beta, note).  A periodic chain is cut deep enough
+    Returns (letters, is_beta, note).  A finite chain is taken whole, as
+    the count is at least its length.  A periodic chain is cut deep enough
     that the lowest degree of the extended walk occurs only at the new
     start node, so the beta rule erases exactly the cut."""
     bar = glue_bar(pres, path)
-    if bar.finite:
-        letters = bar.letters()
-    else:
-        depth = 1 - min(mu_profile(rest))
-        letters = bar.letters(max(len(bar.preperiod) + len(bar.period), depth))
+    depth = 1 - min(mu_profile(rest))
+    letters = bar.letters(max(len(bar.preperiod) + len(bar.period), depth))
     note = "finite chain" if bar.finite else "periodic chain, beta"
     return _flip(letters), not bar.finite, note
 
@@ -446,8 +441,8 @@ def _run_plans(pres, target_hl, plans):
     target node, then cuts, then stalks, each built only when it is reached.
     When none lands, surgeries that leave the length unchanged (typically a
     glue that levels a second realizing degree) are expanded one more round,
-    on at most 25 near misses, each the first proposal of its walk; the
-    composed steps list both stages.  A proposed walk is evaluated once: a
+    on every near miss, each the first proposal of its walk; the composed
+    steps list both stages.  A proposed walk is evaluated once: a
     repeat cannot land where its first proposal missed."""
     evaluated = set()
 
@@ -464,7 +459,7 @@ def _run_plans(pres, target_hl, plans):
                 return plan, plan.steps, cand
             if cand.hl == target_hl + 1 and cand.kind != "stalk":
                 near.setdefault(cand.walk, (plan, cand))
-    for plan, mid in list(near.values())[:25]:
+    for plan, mid in near.values():
         for inner in filter(fresh, _candidate_plans(pres, mid)):
             for cand in _plan_witnesses(pres, inner):
                 if cand.hl == target_hl:
@@ -481,11 +476,10 @@ def _invert_witness(pres, witness):
                    cohomology=witness.cohomology.shifted(witness.walk.mu[-1]))
 
 
-def _search(pres, witness, negative, name=None):
+def _search(pres, witness, negative):
     """(plan, steps, direction, output): the plan search on the witness,
     then on its inverse (the other way round when ``negative``).  The
-    trivial walk is its own inverse, so it is searched once, positive.  A
-    failure names the witness by ``name``, its literal by default."""
+    trivial walk is its own inverse, so it is searched once, positive."""
     l = witness.hl
     directions = ["negative", "positive"] if negative else ["positive", "negative"]
     for direction in directions if witness.walk.letters else ["positive"]:
@@ -496,7 +490,7 @@ def _search(pres, witness, negative, name=None):
             if direction == "negative":
                 out = _invert_witness(pres, out)
             return plan, steps, direction, out
-    raise ReductionError(f"no verified surgery on {name or witness.literal()} "
+    raise ReductionError(f"no verified surgery on {witness.literal()} "
                          f"reached length {l - 1}")
 
 
@@ -511,7 +505,7 @@ def reduce_witness(pres, witness, negative=False):
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
-    base, tag, steps, name = witness, None, (), None
+    base, tag, steps = witness, None, ()
     if witness.kind == "band":
         rotated = mu_minimal_rotation(pres, witness.walk)
         plain = string_witness(pres, classify_walk(pres, rotated.letters * witness.mult))
@@ -526,12 +520,9 @@ def reduce_witness(pres, witness, negative=False):
                 f"unwound string has length {plain.hl} / beta {base.hl}, expected {l} or {l - 1}")
     elif witness.kind == "beta":
         plain, tag = string_witness(pres, witness.walk), "BETA_TRUNCATION"
-    if base.kind == "beta":
-        if plain.hl == l:
-            base, steps = plain, steps + ("reduce the underlying string",)
-        else:
-            name = f"beta[{base.walk.literal()}]"
-    plan, surgery, direction, out = _search(pres, base, negative, name)
+    if base.kind == "beta" and plain.hl == l:
+        base, steps = plain, steps + ("reduce the underlying string",)
+    plan, surgery, direction, out = _search(pres, base, negative)
     return _landed(pres, witness, tag or plan.tag, plan.target, direction, steps + surgery, out)
 
 

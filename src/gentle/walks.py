@@ -145,10 +145,15 @@ def trivial_walk(pres, vertex):
     return GenWalk((), GST, (0,), vertex)
 
 
+def _flip(letters):
+    """The letters of the inverse walk: reversed, each one inverted."""
+    return tuple(l.inverted() for l in reversed(letters))
+
+
 def inverse_walk(pres, walk):
     if not walk.letters:
         return walk
-    return classify_walk(pres, [l.inverted() for l in reversed(walk.letters)])
+    return classify_walk(pres, _flip(walk.letters))
 
 
 def rotate_walk(pres, walk, k):
@@ -157,6 +162,11 @@ def rotate_walk(pres, walk, k):
     n = walk.width
     k %= n
     return classify_walk(pres, walk.letters[k:] + walk.letters[:k])
+
+
+def mu_minimal_rotation(pres, walk):
+    """Rotate a band so its degree profile attains the minimum at node 0."""
+    return rotate_walk(pres, walk, walk.mu.index(min(walk.mu)))
 
 
 def canonical_band(pres, walk):
@@ -212,13 +222,15 @@ class BarDescriptor:
         return not self.period
 
     def letters(self, count=None):
-        """The first ``count`` letters of the chain (all of them if finite)."""
-        if self.finite:
-            return list(self.preperiod)
-        if count is None:
-            raise PresentationError("periodic chain needs an explicit length")
+        """The first ``count`` letters of the chain; a finite chain shorter
+        than ``count`` gives all its letters, and so does ``count`` None,
+        which a periodic chain refuses."""
         out = list(self.preperiod)
-        while len(out) < count:
+        if count is None:
+            if self.period:
+                raise PresentationError("periodic chain needs an explicit length")
+            return out
+        while self.period and len(out) < count:
             out.extend(self.period)
         return out[:count]
 

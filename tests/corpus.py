@@ -62,6 +62,22 @@ arrow c : 3 -> 4
 arrow d : 4 -> 5
 """
 
+# Two relation 2-cycles through vertex 1.  The string x2 , ~x3 has vector
+# {0: 3}, and no surgery of the reduction search reaches length 2 on it, in
+# either direction.  It is not in HAND_SOURCES, whose witnesses all reduce.
+TWO_RELATION_CYCLES = """
+algebra cyc2x2
+vertices 1 2 3
+arrow x0 : 1 -> 2
+arrow x1 : 1 -> 3
+arrow x2 : 2 -> 1
+arrow x3 : 3 -> 1
+rel x0 x2
+rel x2 x0
+rel x1 x3
+rel x3 x1
+"""
+
 HAND_SOURCES = {
     "a0": A0,
     "kronecker": KRONECKER,

@@ -11,7 +11,7 @@ import pytest
 from gentle import cli, nogaps
 from gentle.cli import main
 
-from corpus import random_gentle
+from corpus import TWO_RELATION_CYCLES, random_gentle
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -146,6 +146,24 @@ def test_spectrum_reduction_failure_exits_three(monkeypatch):
     assert code == 3
     assert payload["reduction_failures"] == ["no surgery at length 4"]
     assert sorted(t["input"]["cohomology"]["hl"] for t in payload["reductions"]) == [2, 3, 5, 6]
+
+
+def test_a_reduction_no_surgery_lands_fails_the_spectrum(tmp_path, capsys):
+    algebra = tmp_path / "cyc2x2.alg"
+    algebra.write_text(TWO_RELATION_CYCLES)
+    failure = "no verified surgery on x2 , ~x3 reached length 2"
+    code, out = run(["spectrum", str(algebra), "--max-arrows", "2", "--reduce-check"])
+    assert code == 3
+    assert json.loads(out)["reduction_failures"] == [failure]
+    code, out = run(["reduce", str(algebra), "--walk", "x2 , ~x3"])
+    assert (code, out) == (1, "")
+    assert json.loads(capsys.readouterr().err) == {"error": failure}
+
+
+def test_spectrum_golden_byte_exact():
+    code, out = run(["spectrum", A0_FILE, "--max-arrows", "6", "--reduce-check"])
+    assert code == 0
+    assert out == (GOLDEN / "a0_spectrum_reduce_check.json").read_text()
 
 
 def test_incomplete_spectrum_scan_exits_zero():

@@ -17,8 +17,8 @@ from gentle import (GBA, CohVector, PresentationError, ReductionError, cohomolog
                     verify_counterexample_a0, Witness, witness_family)
 from gentle.complexes import mu_minimal_rotation
 
-from corpus import (A0, KRONECKER, SQUARE, TWO_RELATION_CHAIN, full_corpus,
-                    load)
+from corpus import (A0, KRONECKER, SQUARE, TWO_RELATION_CHAIN, TWO_RELATION_CYCLES,
+                    full_corpus, load)
 
 a0 = load(A0)
 kron = load(KRONECKER)
@@ -99,6 +99,17 @@ def test_invert_witness_reads_the_vector_off(monkeypatch):
 def test_reduce_rejects_length_one():
     with pytest.raises(ReductionError):
         reduce_witness(a0, string_witness(a0, parse_walk(a0, "a1 , a3")))
+
+
+def test_no_surgery_reduces_a_string_of_two_relation_cycles():
+    # every plan and the near-miss round miss length 2, in both directions
+    pres = load(TWO_RELATION_CYCLES)
+    witness = string_witness(pres, parse_walk(pres, "x2 , ~x3"))
+    assert witness.cohomology.as_dict() == {0: 3}
+    for negative in (False, True):
+        with pytest.raises(ReductionError) as err:
+            reduce_witness(pres, witness, negative=negative)
+        assert str(err.value) == "no verified surgery on x2 , ~x3 reached length 2"
 
 
 def test_negative_direction_also_lands():

@@ -383,6 +383,9 @@ def test_glue_bar_examples():
     bar = glue_bar(a0, a0.path(["a1"]))
     assert bar.finite
     assert [l.literal() for l in bar.letters()] == ["a1", "a3"]
+    # a count truncates a finite chain and never lengthens it
+    assert [l.literal() for l in bar.letters(1)] == ["a1"]
+    assert bar.letters(5) == bar.letters()
 
     bar = glue_bar(a0, a0.path(["a4"]))
     assert bar.finite
@@ -394,6 +397,28 @@ def test_glue_bar_examples():
     head = [l.literal() for l in bar.letters(7)]
     assert head == ["x", "y", "z", "x", "y", "z", "x"]
     assert glue_bar(cyc, cyc.path(["x"])) is bar
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: beta_window(a0, parse_walk(a0, "a1"), -1), "steps must be >= 0",
+                 id="beta_window"),
+    pytest.param(lambda: a0.out_arrows("9"), "unknown vertex '9'", id="out_arrows"),
+    pytest.param(lambda: a0.in_arrows("9"), "unknown vertex '9'", id="in_arrows"),
+    pytest.param(lambda: a0.trivial_path("9"), "unknown vertex '9'", id="trivial_path"),
+    pytest.param(lambda: a0.path([]), "a nontrivial path needs at least one arrow", id="path"),
+    pytest.param(lambda: classify_walk(a0, []), "a generalized walk needs at least one letter",
+                 id="classify_walk"),
+    pytest.param(lambda: canonical_band(a0, parse_walk(a0, "a1")),
+                 "canonical_band needs a generalized band, got GST", id="canonical_band"),
+    pytest.param(lambda: glue_bar(cyc, cyc.path(["x"])).letters(),
+                 "periodic chain needs an explicit length", id="letters"),
+    pytest.param(lambda: glue_bar(a0, a0.trivial_path("1")),
+                 "glue_bar needs a path of length >= 1", id="glue_bar"),
+])
+def test_library_input_errors(call, message):
+    with pytest.raises(PresentationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_glue_bar_steps_are_unique():
