@@ -17,39 +17,60 @@ from .complexes import (check_band, differential_matrix, shift as shift_complex,
                         string_complex, total_dimension)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohVector:
-    """Degree -> dimension map with the derived size invariants."""
+    """Degree -> dimension map with the derived size invariants, stored
+    dense: ``counts[k]`` is the dimension in degree ``low + k``.  Both end
+    entries are nonzero (interior zeros stay), so equal maps are equal
+    records; the zero vector is ``CohVector()``.  Build one through
+    :meth:`dense`, the one constructor that trims."""
 
-    dims: tuple
+    low: int = 0
+    counts: tuple = ()
+
+    @staticmethod
+    def dense(low, counts):
+        """The vector with dimension ``counts[k]`` in degree ``low + k``."""
+        lo, hi = 0, len(counts)
+        while hi and not counts[hi - 1]:
+            hi -= 1
+        while lo < hi and not counts[lo]:
+            lo += 1
+        return CohVector(low + lo, tuple(counts[lo:hi])) if hi else CohVector()
 
     @staticmethod
     def from_dict(d):
-        return CohVector(tuple(sorted((k, v) for k, v in d.items() if v)))
+        low = min(d, default=0)
+        return CohVector.dense(low, [d.get(k, 0) for k in range(low, max(d, default=-1) + 1)])
+
+    @property
+    def dims(self):
+        """The nonzero ``(degree, dimension)`` pairs in degree order."""
+        return tuple((self.low + k, v) for k, v in enumerate(self.counts) if v)
 
     def as_dict(self):
         return dict(self.dims)
 
     @property
     def hl(self):
-        return max((v for _, v in self.dims), default=0)
+        return max(self.counts, default=0)
 
     @property
     def hw(self):
-        if not self.dims:
-            return 0
-        degrees = [k for k, _ in self.dims]
-        return max(degrees) - min(degrees) + 1
+        return len(self.counts)
 
     @property
     def hr(self):
         return self.hl * self.hw
 
     def shifted(self, k):
-        return CohVector(tuple((deg - k, v) for deg, v in self.dims))
+        return CohVector.dense(self.low - k, self.counts)
 
     def drop_degree(self, degree):
-        return CohVector(tuple((d, v) for d, v in self.dims if d != degree))
+        counts = list(self.counts)
+        if 0 <= degree - self.low < len(counts):
+            counts[degree - self.low] = 0
+        return CohVector.dense(self.low, counts)
 
     def to_json(self):
         return {
@@ -103,7 +124,7 @@ def node_sums(pres, walk):
     agg = [0] * (max(mu) - low + 1)
     for deg, c in zip(mu, _node_counts(pres, walk)):
         agg[deg - low] += c
-    return CohVector(tuple([(low + k, c) for k, c in enumerate(agg) if c]))
+    return CohVector.dense(low, agg)
 
 
 def _node_counts(pres, walk):

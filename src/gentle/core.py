@@ -33,7 +33,7 @@ class Arrow:
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A relation-free path, written left to right.
 

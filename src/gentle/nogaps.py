@@ -41,7 +41,7 @@ class ReductionError(RuntimeError):
     """No verified surgery achieved length l - 1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A named indecomposable: a string / beta / band walk, or a stalk on a
     trivial walk.  ``cohomology`` is the walk's closed-form vector (for a
@@ -139,8 +139,8 @@ class ReductionTrace:
 
 def _top_degrees(witness):
     """The degrees whose dimension is the witness's length."""
-    hl = witness.hl
-    return [d for d, v in witness.cohomology.dims if v == hl]
+    vector, hl = witness.cohomology, witness.hl
+    return [vector.low + k for k, v in enumerate(vector.counts) if v == hl]
 
 
 def _positive_candidates(pres, witness):
@@ -478,20 +478,19 @@ def _invert_witness(pres, witness):
 
 def _search(pres, witness, negative):
     """(plan, steps, direction, output): the plan search on the witness,
-    then on its inverse (the other way round when ``negative``).  The
-    trivial walk is its own inverse, so it is searched once, positive."""
-    l = witness.hl
+    then on its inverse (the other way round when ``negative``), or None
+    when neither lands.  The trivial walk is its own inverse, so it is
+    searched once, positive."""
     directions = ["negative", "positive"] if negative else ["positive", "negative"]
     for direction in directions if witness.walk.letters else ["positive"]:
         base = _invert_witness(pres, witness) if direction == "negative" else witness
-        found = _run_plans(pres, l - 1, _candidate_plans(pres, base))
+        found = _run_plans(pres, witness.hl - 1, _candidate_plans(pres, base))
         if found is not None:
             plan, steps, out = found
             if direction == "negative":
                 out = _invert_witness(pres, out)
             return plan, steps, direction, out
-    raise ReductionError(f"no verified surgery on {witness.literal()} "
-                         f"reached length {l - 1}")
+    return None
 
 
 def reduce_witness(pres, witness, negative=False):
@@ -501,7 +500,9 @@ def reduce_witness(pres, witness, negative=False):
     A band is unwound into the d-fold repeated string.  The band's vector
     is the beta vector of that string plus one in degree 1, so that beta
     vector has length l, and is searched as a beta, or l - 1, and lands at
-    once.  A beta whose string keeps its length searches that string."""
+    once.  A beta whose string keeps its length searches that string.  A
+    failed search raises ReductionError naming ``witness``, not the walk
+    searched."""
     l = witness.hl
     if l <= 1:
         raise ReductionError("cohomological length is already <= 1")
@@ -522,7 +523,11 @@ def reduce_witness(pres, witness, negative=False):
         plain, tag = string_witness(pres, witness.walk), "BETA_TRUNCATION"
     if base.kind == "beta" and plain.hl == l:
         base, steps = plain, steps + ("reduce the underlying string",)
-    plan, surgery, direction, out = _search(pres, base, negative)
+    found = _search(pres, base, negative)
+    if found is None:
+        raise ReductionError(f"no verified surgery on {witness.literal()} "
+                             f"reached length {l - 1}")
+    plan, surgery, direction, out = found
     return _landed(pres, witness, tag or plan.tag, plan.target, direction, steps + surgery, out)
 
 

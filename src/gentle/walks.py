@@ -16,7 +16,7 @@ GST = "GST"
 GBA = "GBA"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Letter:
     path: Path
     inverse: bool = False
@@ -52,7 +52,7 @@ class Letter:
         return f"Letter({self.literal()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenWalk:
     letters: tuple[Letter, ...]
     kind: str
@@ -318,7 +318,7 @@ class Enumeration:
     complete: bool
 
 
-def _prefixes(graph, max_arrows):
+def _prefixes(graph, max_arrows, bands=False):
     """Every letter sequence along the letter graph with arrow total
     <= max_arrows, in increasing key order (a prefix before its extensions).
 
@@ -329,19 +329,35 @@ def _prefixes(graph, max_arrows):
     rebuilt or classified again; the graph already checked every junction.
     The roots and the ascending ``succ`` lists go on an explicit stack
     reversed, so its depth-first pre-order is that key order.
+
+    With ``bands`` set, only prefixes that can still grow into a band
+    ``_least_in_orbit`` keeps are yielded.  A prefix is dropped, with its
+    extensions, when it breaks one of three conditions, which every
+    extension then breaks too:
+
+    - a position below ``key[0]``: the rotation starting there is smaller;
+    - an inverse position ``inv[j]`` below ``key[0]``: the rotation of the
+      inverse walk starting there is smaller (so a root needs inv[j] > j);
+    - ``|mu[-1]|`` above the arrows left: each letter moves mu by exactly
+      one and costs at least one arrow, so mu can no longer return to 0.
     """
     if max_arrows < 0:
         raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
     succ, inv, length, step = graph.succ, graph.inv, graph.length, graph.step
     stack = [((j,), (inv[j],), length[j], (0, step[j]))
-             for j in reversed(range(len(succ))) if length[j] <= max_arrows]
+             for j in reversed(range(len(succ)))
+             if length[j] <= max_arrows and not (bands and inv[j] < j)]
     while stack:
         key, back, used, mu = stack.pop()
         yield key, back, mu, mu[-1] == 0 and key[0] in succ[key[-1]]
         for j in reversed(succ[key[-1]]):
-            if used + length[j] <= max_arrows:
-                stack.append((key + (j,), (inv[j],) + back, used + length[j],
-                              mu + (mu[-1] + step[j],)))
+            total = used + length[j]
+            if total > max_arrows:
+                continue
+            deg = mu[-1] + step[j]
+            if bands and (j < key[0] or inv[j] < key[0] or abs(deg) > max_arrows - total):
+                continue
+            stack.append((key + (j,), (inv[j],) + back, total, mu + (deg,)))
 
 
 def _least_in_orbit(key, back):
@@ -349,17 +365,18 @@ def _least_in_orbit(key, back):
     return all(key <= w[k:] + w[:k] for w in (key, back) for k in range(len(key)))
 
 
-def _enumeration(pres, max_arrows, keep):
+def _enumeration(pres, max_arrows, keep, bands=False):
     """The prefixes that ``keep(key, back, closed)`` accepts, as walks in
     sort-key order; complete when the letter graph is acyclic and its
-    longest walk fits the bound.
+    longest walk fits the bound.  ``bands`` prunes ``_prefixes`` to band
+    candidates.
 
     Positions follow ``Letter.sort_key``, so the key order in which
     ``_prefixes`` walks is the order of ``GenWalk.sort_key``.
     """
     graph = letter_graph(pres)
     walks = tuple(GenWalk(tuple(graph.letters[j] for j in key), GBA if closed else GST, mu)
-                  for key, back, mu, closed in _prefixes(graph, max_arrows)
+                  for key, back, mu, closed in _prefixes(graph, max_arrows, bands)
                   if keep(key, back, closed))
     return Enumeration(walks, graph.longest is not None and graph.longest <= max_arrows)
 
@@ -381,10 +398,17 @@ def enumerate_gba(pres, max_arrows):
 
     Every rotation of a band, and of its inverse, is itself a prefix, so
     each orbit is emitted once, at the rotation ``canonical_band`` picks.
+    Only prefixes that can still become that rotation are grown: its
+    positions and inverse positions are all at least its first one, or a
+    rotation of it or of its inverse is smaller, and |mu| stays within the
+    arrows left, as each letter moves mu by one and costs an arrow.  A
+    prefix breaking one condition breaks it in every extension, so the
+    pruning is exact (see ``_prefixes``).
     """
     return _enumeration(pres, max_arrows,
                         lambda key, back, closed: (closed and _period(key) == len(key)
-                                                   and _least_in_orbit(key, back)))
+                                                   and _least_in_orbit(key, back)),
+                        bands=True)
 
 
 def longest_walk_arrows(pres):

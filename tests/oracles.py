@@ -2,13 +2,13 @@
 
 Production never calls these; the tests use them as independent checks
 of the library (string membership, canonical orbit representatives,
-truncation at a walk end, dense Gaussian rank, complex truncation and
-minimality).
+truncation at a walk end, unpruned band enumeration, dense Gaussian rank,
+complex truncation and minimality).
 """
 from fractions import Fraction
 
-from gentle import GenWalk, PresentationError, ProjComplex, classify_walk, inverse_walk
-from gentle.walks import shorten_letter
+from gentle import GBA, GenWalk, PresentationError, ProjComplex, classify_walk, inverse_walk
+from gentle.walks import _least_in_orbit, _period, _prefixes, letter_graph, shorten_letter
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,15 @@ def _truncate(pres, walk, j, first):
             raise PresentationError("truncation emptied the walk")
         return classify_walk(pres, rest)
     return classify_walk(pres, (kept,) + rest if first else rest + (kept.inverted(),))
+
+
+def unpruned_bands(pres, max_arrows):
+    """The bands of ``enumerate_gba`` read off every prefix: closed,
+    primitive and least in their rotation + inversion orbit."""
+    graph = letter_graph(pres)
+    return tuple(GenWalk(tuple(graph.letters[j] for j in key), GBA, mu)
+                 for key, back, mu, closed in _prefixes(graph, max_arrows)
+                 if closed and _period(key) == len(key) and _least_in_orbit(key, back))
 
 
 # ---------------------------------------------------------------------------

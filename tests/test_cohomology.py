@@ -5,7 +5,7 @@ import pytest
 from gentle import (GBA, CohVector, PresentationError, ProjComplex, Summand, band_complex,
                     band_sums, beta_cohomology, beta_window, cohomology_dims, dim_projective,
                     enumerate_gba, enumerate_gst, node_contributions, node_sums,
-                    parse_walk, stalk_witness, string_complex, trivial_walk)
+                    parse_walk, stalk_witness, string_complex, string_witness, trivial_walk)
 
 from corpus import A0, KRONECKER, RELATION_CYCLE, TWO_RELATION_CHAIN, full_corpus, load
 
@@ -65,8 +65,46 @@ def test_rank_route_rejects_a_non_complex():
 
 
 def test_zero_vector_conventions():
-    zero = CohVector(())
+    zero = CohVector.from_dict({})
     assert (zero.hl, zero.hw, zero.hr) == (0, 0, 0)
+
+
+def test_vector_normal_form():
+    # one map, three constructors: equal records with equal hashes
+    walk = parse_walk(a0, "a1")
+    built = [node_sums(a0, walk), CohVector.dense(-3, [0, 0, 4, 1, 0]),
+             CohVector.from_dict({0: 1, -1: 4, 3: 0})]
+    assert {(v.low, v.counts) for v in built} == {(-1, (4, 1))}
+    assert len({hash(v) for v in built}) == 1 and built[0] == built[1] == built[2]
+    assert CohVector.dense(5, [0, 0]) == CohVector.from_dict({}) == CohVector()
+
+
+def test_vector_width_spans_an_interior_zero():
+    vec = CohVector.from_dict({-2: 1, 1: 3})
+    assert vec.counts == (1, 0, 0, 3)
+    assert vec.dims == ((-2, 1), (1, 3))
+    assert (vec.hl, vec.hw, vec.hr) == (3, 4, 12)
+
+
+def test_drop_degree_trims_the_vector():
+    vec = CohVector.from_dict({-2: 1, 0: 2, 1: 3})
+    assert vec.drop_degree(-2) == CohVector(0, (2, 3))
+    assert vec.drop_degree(1) == CohVector(-2, (1, 0, 2))
+    assert vec.drop_degree(0) == CohVector(-2, (1, 0, 0, 3))
+    assert vec.drop_degree(7) == vec
+    for degree in (0, 1, -2):
+        vec = vec.drop_degree(degree)
+    assert vec == CohVector()
+    assert vec.to_json() == {"dims": {}, "hl": 0, "hw": 0, "hr": 0}
+    assert CohVector.from_dict({-2: 1, 1: 3}).to_json() == \
+        {"dims": {"-2": 1, "1": 3}, "hl": 3, "hw": 4, "hr": 12}
+
+
+def test_records_have_no_instance_dict():
+    walk = parse_walk(a0, "a1 , a3")
+    witness = string_witness(a0, walk)
+    for record in (walk.letters[0].path, walk.letters[0], walk, witness.cohomology, witness):
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_node_contributions_base_walk():

@@ -616,18 +616,38 @@ def test_reduce_witness_rejects_a_vector_its_walk_cannot_carry():
     # the vector is read as given: a top degree where the walk's nodes
     # contribute less than the length, none at all or too little, is a
     # ReductionError naming the witness and the degree
-    cases = [(a0, Witness("string", parse_walk(a0, "a1"), CohVector(((5, 9),))),
+    cases = [(a0, Witness("string", parse_walk(a0, "a1"), CohVector.from_dict({5: 9})),
               "a1 has length 9 in degree 5"),
              # the sink 7 carries dim P_7 = 1 in degree 0, not 2
-             (a0, Witness("stalk", trivial_walk(a0, "7"), CohVector(((0, 2),))),
+             (a0, Witness("stalk", trivial_walk(a0, "7"), CohVector.from_dict({0: 2})),
               "stalk 7 has length 2 in degree 0"),
              # a band's length is its unwound beta's, or one more
-             (kron, Witness("band", parse_walk(kron, "a , ~b"), CohVector(((1, 5),)),
+             (kron, Witness("band", parse_walk(kron, "a , ~b"), CohVector.from_dict({1: 5}),
                             Fraction(1)),
               "unwound string has length 1 / beta 1, expected 5 or 4")]
     for pres, w, text in cases:
         with pytest.raises(ReductionError, match=re.escape(text)):
             reduce_witness(pres, w)
+
+
+def test_a_failed_reduction_names_the_witness_it_was_given():
+    # a band is searched through its unwound beta, and this beta through
+    # its string, which keeps the length; the failure names the input
+    from corpus import random_gentle
+
+    rnd44, rnd75 = random_gentle(44), random_gentle(75)
+    cases = [(rnd44, band_witness(rnd44, parse_walk(rnd44, "r1 , r5.r1 , ~r8 , ~r8.r5")),
+              "band[ r1 , r5.r1 , ~r8 , ~r8.r5 ; lambda=1 ; d=1 ] reached length 1"),
+             (rnd75, beta_witness(rnd75, parse_walk(rnd75, "~r2 , r5 , ~r4 , r3")),
+              "beta[ ~r2 , r5 , ~r4 , r3 ] reached length 2")]
+    for pres, w, text in cases:
+        for negative in (False, True):
+            with pytest.raises(ReductionError) as exc:
+                reduce_witness(pres, w, negative=negative)
+            assert str(exc.value) == f"no verified surgery on {text}"
+    report = hl_spectrum(rnd44, 6, reduce_check=True)
+    assert report.failures == (f"no verified surgery on {cases[0][2]}",)
+    assert report.achieved[2].literal() == cases[0][1].literal()
 
 
 def test_a_band_landing_on_its_unwound_beta_is_aligned():

@@ -19,7 +19,7 @@ from gentle.walks import is_primitive, letter_graph, mu_profile
 
 from corpus import (A0, KRONECKER, RELATION_CYCLE, LINEAR_A5, full_corpus, load,
                     random_gentle)
-from oracles import canonical_string, is_string, truncate_first, truncate_last
+from oracles import canonical_string, is_string, truncate_first, truncate_last, unpruned_bands
 
 a0 = load(A0)
 kron = load(KRONECKER)
@@ -220,6 +220,24 @@ def test_enumeration_matches_classification_oracle(cases):
         assert list(gst.walks) == strings, (pres.name, bound)
         assert list(gba.walks) == bands, (pres.name, bound)
         assert gst.complete == gba.complete == complete, (pres.name, bound)
+
+
+def test_band_prefixes_are_pruned():
+    # rnd5 is walks-growth's algebra: the band mode grows only prefixes
+    # that can still become a least rotation
+    graph = letter_graph(random_gentle(5))
+    assert sum(1 for _ in walks._prefixes(graph, 10)) == 40_148
+    assert sum(1 for _ in walks._prefixes(graph, 10, bands=True)) == 1_663
+
+
+def test_band_pruning_matches_the_unpruned_oracle():
+    bands = 0
+    for pres in full_corpus() + [random_gentle(seed) for seed in range(14, 120)]:
+        for bound in range(9):
+            found = enumerate_gba(pres, bound).walks
+            assert found == unpruned_bands(pres, bound), (pres.name, bound)
+            bands += len(found)
+    assert bands == 743
 
 
 def test_enumeration_classifies_nothing(monkeypatch):
