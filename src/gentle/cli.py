@@ -33,6 +33,8 @@ from .nogaps import (ReductionError, band_witness, beta_witness, hl_spectrum,
 from .demo import verify_counterexample_a0
 
 _FRACTION = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# d = 10,000 takes each band verb about 1 s and 35 MB; an unbounded d grows until killed
+_MAX_MULT = 10_000
 
 
 class UsageError(ValueError):
@@ -80,7 +82,9 @@ def _walk(pres, args):
 
 
 def _band_parameters(args):
-    """(lambda, d) of a ``--band`` call; each is 1 unless given."""
+    """(lambda, d) of a ``--band`` call; each is 1 unless given, d <= ``_MAX_MULT``."""
+    if args.mult is not None and args.mult > _MAX_MULT:
+        raise PresentationError(f"--mult {args.mult} is over the limit of {_MAX_MULT}")
     return (_parse_lambda("1" if args.lam is None else args.lam),
             1 if args.mult is None else args.mult)
 

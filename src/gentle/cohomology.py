@@ -17,13 +17,23 @@ from .complexes import (check_band, differential_matrix, shift as shift_complex,
                         string_complex, total_dimension)
 
 
+def _trim(low, counts):
+    """(low, counts) with the zero ends of counts dropped: a CohVector's fields."""
+    lo, hi = 0, len(counts)
+    while hi and not counts[hi - 1]:
+        hi -= 1
+    while lo < hi and not counts[lo]:
+        lo += 1
+    return (low + lo, tuple(counts)[lo:hi]) if hi else (0, ())
+
+
 @dataclass(frozen=True, slots=True)
 class CohVector:
     """Degree -> dimension map with the derived size invariants, stored
     dense: ``counts[k]`` is the dimension in degree ``low + k``.  Both end
     entries are nonzero (interior zeros stay), so equal maps are equal
-    records; the zero vector is ``CohVector()``.  Build one through
-    :meth:`dense`, the one constructor that trims."""
+    records; the zero vector is ``CohVector()``.  Every vector built here
+    has its fields from ``_trim``, through :meth:`dense` or ``_vector``."""
 
     low: int = 0
     counts: tuple = ()
@@ -31,12 +41,7 @@ class CohVector:
     @staticmethod
     def dense(low, counts):
         """The vector with dimension ``counts[k]`` in degree ``low + k``."""
-        lo, hi = 0, len(counts)
-        while hi and not counts[hi - 1]:
-            hi -= 1
-        while lo < hi and not counts[lo]:
-            lo += 1
-        return CohVector(low + lo, tuple(counts[lo:hi])) if hi else CohVector()
+        return CohVector(*_trim(low, counts))
 
     @staticmethod
     def from_dict(d):
@@ -118,13 +123,20 @@ def node_sums(pres, walk):
     """Degree totals of the closed-form node counts, as a CohVector.
 
     mu moves by one per letter, so the degrees of the nodes are contiguous
-    and the totals fold into a list indexed from ``min(mu)``."""
+    and the totals fold into a list indexed from ``min(mu)``.  Equal
+    vectors of one presentation are one record (:func:`_vector`)."""
     mu = walk.mu
     low = min(mu)
     agg = [0] * (max(mu) - low + 1)
     for deg, c in zip(mu, _node_counts(pres, walk)):
         agg[deg - low] += c
-    return CohVector.dense(low, agg)
+    return _vector(pres, _trim(low, agg))
+
+
+@per_presentation
+def _vector(pres, fields):
+    """The presentation's one CohVector with these trimmed (low, counts) fields."""
+    return CohVector(*fields)
 
 
 def _node_counts(pres, walk):

@@ -335,6 +335,9 @@ def _is_connected(pres):
     return len(seen) == len(pres.vertices)
 
 
+_MISSING = object()
+
+
 def per_presentation(build):
     """Run ``build(pres, *key)`` once per presentation and key.
 
@@ -345,11 +348,9 @@ def per_presentation(build):
     @wraps(build)
     def cached(pres, *key):
         memo = pres._memo[build]
-        try:
-            return memo[key]
-        except KeyError:
-            pass
-        value = memo[key] = build(pres, *key)
+        value = memo.get(key, _MISSING)  # no KeyError raised: misses stay cheap
+        if value is _MISSING:
+            value = memo[key] = build(pres, *key)
         return value
 
     return cached

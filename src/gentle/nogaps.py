@@ -570,15 +570,24 @@ def witness_family(pres, max_arrows, include_bands=True):
 
 
 def hl_spectrum(pres, max_arrows, include_bands=True, reduce_check=False):
-    """Achieved cohomological lengths with witnesses, gaps, reductions."""
+    """Achieved cohomological lengths with witnesses, gaps, reductions.  Each
+    length keeps its least witness under (kind order, literal), the first on
+    a tie, as a running minimum that builds literals only on a kind tie."""
     witnesses, complete = witness_family(pres, max_arrows, include_bands)
-    achieved = {}
     # bands first so the reduce check exercises the unwinding route
     order = {"band": 0, "string": 1, "beta": 2, "stalk": 3}
-    for w in sorted(witnesses, key=lambda w: (order[w.kind], w.literal())):
+    achieved = {}  # length -> (least witness, its literal once built)
+    for w in witnesses:
         l = w.hl
-        if l >= 1 and l not in achieved:
-            achieved[l] = w
+        best, literal = achieved.get(l, (None, None))
+        if l < 1 or best is not None and order[w.kind] > order[best.kind]:
+            continue
+        if best is not None and w.kind == best.kind:
+            held, own = literal or best.literal(), w.literal()
+            achieved[l] = (best, held) if own >= held else (w, own)
+        else:
+            achieved[l] = w, None
+    achieved = {l: w for l, (w, _) in achieved.items()}
     top = max(achieved, default=0)
     gaps = tuple(v for v in range(1, top) if v not in achieved)
     reductions = []

@@ -328,7 +328,8 @@ def _prefixes(graph, max_arrows, bands=False):
     the first).  Each is extended by one letter per step, so no prefix is
     rebuilt or classified again; the graph already checked every junction.
     The roots and the ascending ``succ`` lists go on an explicit stack
-    reversed, so its depth-first pre-order is that key order.
+    reversed, so its depth-first pre-order is that key order.  Equal
+    degree profiles are one tuple per call, shared by the walks kept.
 
     With ``bands`` set, only prefixes that can still grow into a band
     ``_least_in_orbit`` keeps are yielded.  A prefix is dropped, with its
@@ -344,7 +345,8 @@ def _prefixes(graph, max_arrows, bands=False):
     if max_arrows < 0:
         raise PresentationError(f"max_arrows must be >= 0, got {max_arrows}")
     succ, inv, length, step = graph.succ, graph.inv, graph.length, graph.step
-    stack = [((j,), (inv[j],), length[j], (0, step[j]))
+    profiles = {}
+    stack = [((j,), (inv[j],), length[j], profiles.setdefault((0, step[j]), (0, step[j])))
              for j in reversed(range(len(succ)))
              if length[j] <= max_arrows and not (bands and inv[j] < j)]
     while stack:
@@ -357,7 +359,8 @@ def _prefixes(graph, max_arrows, bands=False):
             deg = mu[-1] + step[j]
             if bands and (j < key[0] or inv[j] < key[0] or abs(deg) > max_arrows - total):
                 continue
-            stack.append((key + (j,), (inv[j],) + back, total, mu + (deg,)))
+            grown = mu + (deg,)
+            stack.append((key + (j,), (inv[j],) + back, total, profiles.setdefault(grown, grown)))
 
 
 def _least_in_orbit(key, back):

@@ -2,8 +2,9 @@
 
 Production never calls these; the tests use them as independent checks
 of the library (string membership, canonical orbit representatives,
-truncation at a walk end, unpruned band enumeration, dense Gaussian rank,
-complex truncation and minimality).
+truncation at a walk end, unpruned band enumeration, the spectrum's
+witness choice by sorting, dense Gaussian rank, complex truncation and
+minimality).
 """
 from fractions import Fraction
 
@@ -74,6 +75,18 @@ def unpruned_bands(pres, max_arrows):
     return tuple(GenWalk(tuple(graph.letters[j] for j in key), GBA, mu)
                  for key, back, mu, closed in _prefixes(graph, max_arrows)
                  if closed and _period(key) == len(key) and _least_in_orbit(key, back))
+
+
+def sorted_spectrum_choice(witnesses):
+    """The witness ``hl_spectrum`` keeps per length, by sorting every
+    witness under (kind order, literal) and keeping the first per length."""
+    achieved = {}
+    order = {"band": 0, "string": 1, "beta": 2, "stalk": 3}
+    for w in sorted(witnesses, key=lambda w: (order[w.kind], w.literal())):
+        l = w.hl
+        if l >= 1 and l not in achieved:
+            achieved[l] = w
+    return achieved
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,8 @@ def test_input_errors_exit_one(tmp_path, capsys):
                        "arrow a : 1 -> 2\narrow b : 1 -> 2\narrow c : 1 -> 2\n")
     string_as_band = ["cohomology", A0_FILE, "--walk", "a1", "--band"]
     not_gentle = ["basis", str(crowded)]
+    over_budget = [[verb, KR_FILE, "--walk", "a , ~b", "--band", "--mult", str(cli._MAX_MULT + 1)]
+                   for verb in ("complex", "cohomology", "reduce")]
     for argv in (["validate", str(empty)],
                  ["validate", str(not_utf8)],
                  ["validate", str(dotted)],
@@ -284,7 +286,8 @@ def test_input_errors_exit_one(tmp_path, capsys):
                  [],
                  # --band and --beta exclude each other
                  ["cohomology", KR_FILE, "--walk", "a , ~b", "--band", "--beta"],
-                 ["reduce", KR_FILE, "--walk", "a , ~b", "--band", "--beta"]):
+                 ["reduce", KR_FILE, "--walk", "a , ~b", "--band", "--beta"],
+                 *over_budget):
         capsys.readouterr()
         code, out = run(argv)
         assert (code, out) == (1, ""), argv
@@ -297,6 +300,8 @@ def test_input_errors_exit_one(tmp_path, capsys):
             assert "is not a band" in error, error
         if argv == not_gentle:
             assert "is not gentle" in error, error
+        if argv in over_budget:
+            assert f"over the limit of {cli._MAX_MULT}" in error, error
     with pytest.raises(SystemExit) as help_exit:
         run(["--help"])
     assert help_exit.value.code == 0

@@ -231,6 +231,16 @@ def test_node_sums_equal_rank_on_every_corpus_string():
     assert strings == 1721
 
 
+def test_equal_vectors_of_one_presentation_are_one_record():
+    used, fresh = load(A0), load(A0)
+    vectors = [node_sums(used, walk) for walk in enumerate_gst(used, 6).walks]
+    assert len({id(v) for v in vectors}) == len(set(vectors)) < len(vectors)
+    for walk in enumerate_gst(fresh, 6).walks:
+        vector = node_sums(fresh, walk)
+        assert vector is node_sums(fresh, walk)
+        assert vector == node_sums(used, walk) and vector is not node_sums(used, walk)
+
+
 def test_node_sums_fold_node_contributions():
     # one closed form, two consumers: the degree totals are the fold of the
     # per-node counts, on every corpus string and every trivial walk

@@ -275,7 +275,7 @@ def test_left_action_agrees_with_compose():
 
 def test_presentation_fields_are_its_inputs_and_facts_are_kept_per_presentation():
     from dataclasses import fields
-    from gentle import core, walks
+    from gentle import cohomology, core, walks
     assert [f.name for f in fields(core.Presentation)] == [
         "name", "vertices", "arrows", "relations", "validated"]
     used, fresh = load(A0), load(A0)
@@ -287,6 +287,7 @@ def test_presentation_fields_are_its_inputs_and_facts_are_kept_per_presentation(
         lambda pres: maximal_path(pres, "a3"),
         lambda pres: walks.glue_bar(pres, a1),
         walks.letter_graph,
+        lambda pres: cohomology._vector(pres, (-1, (2,))),
     ]
     built = [build(used) for build in builders]
     assert used == fresh

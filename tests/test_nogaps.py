@@ -18,7 +18,8 @@ from gentle import (GBA, CohVector, PresentationError, ReductionError, cohomolog
 from gentle.complexes import mu_minimal_rotation
 
 from corpus import (A0, KRONECKER, SQUARE, TWO_RELATION_CHAIN, TWO_RELATION_CYCLES,
-                    full_corpus, load)
+                    full_corpus, load, random_gentle)
+from oracles import sorted_spectrum_choice
 
 a0 = load(A0)
 kron = load(KRONECKER)
@@ -287,6 +288,19 @@ def test_kronecker_spectrum_exercises_band_unwinding():
     assert report.gaps == ()
     assert report.failures == ()
     assert any(t.case_tag == "BAND_UNWIND" for t in report.reductions)
+
+
+def test_spectrum_keeps_the_witness_the_sort_rule_keeps():
+    cases = [(pres, 5) for pres in full_corpus() + [random_gentle(s) for s in range(14, 100)]]
+    cases.append((random_gentle(5), 8))
+    lengths = 0
+    for pres, bound in cases:
+        expected = sorted_spectrum_choice(witness_family(pres, bound)[0])
+        achieved = hl_spectrum(pres, bound).achieved
+        assert ({l: (w.kind, w.literal()) for l, w in achieved.items()}
+                == {l: (w.kind, w.literal()) for l, w in expected.items()}), (pres.name, bound)
+        lengths += len(achieved)
+    assert lengths == 599
 
 
 def test_witness_family_includes_beta_variants():

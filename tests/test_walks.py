@@ -240,6 +240,13 @@ def test_band_pruning_matches_the_unpruned_oracle():
     assert bands == 743
 
 
+def test_walks_of_one_enumeration_share_each_degree_profile():
+    pres = random_gentle(5)
+    for enumerate_walks in (enumerate_gst, enumerate_gba):
+        found = enumerate_walks(pres, 10).walks
+        assert len({id(w.mu) for w in found}) == len({w.mu for w in found}) < len(found)
+
+
 def test_enumeration_classifies_nothing(monkeypatch):
     def refuse(pres, letters):
         raise AssertionError("enumeration classified a walk")
